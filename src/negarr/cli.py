@@ -19,7 +19,7 @@ Spectrum:
     order 9                     coordinate field size, when finite
     note free text              optional, repeatable
 
-Points (for analyze --points FILE):
+Points (for analyze --points FILE, with a coordinates input):
     field Q
     point 1 1 1
 
@@ -31,8 +31,10 @@ decimal; --json mirrors the report with rationals as {"num": p, "den": q}.
 Reports are byte-deterministic for identical inputs and flags.
 
 Exit codes: 0 all applicable certificates hold, 1 some applicable
-certificate fails, 2 input error.  The search budget defaults to 10^7
-candidate subsets and can be overridden with --budget or NEGARR_BUDGET.
+certificate fails, 2 input error, 3 internal inconsistency (two exact routes
+to the same value disagree, a defect in negarr rather than in the input).
+The search budget defaults to 10^7 candidate subsets and can be overridden
+with --budget or NEGARR_BUDGET.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .arrangement import (
 from .catalog import catalog_entry
 from .errors import (
     EmptyResult,
+    InternalInconsistency,
     NegarrError,
     NoIncidenceData,
     NotEquidistributed,
@@ -71,6 +74,8 @@ from .fields import ExtensionField, Field, PrimeField, RationalField
 from .negativity import (
     REAL_LOWER_BOUND,
     CertificateReport,
+    HReport,
+    MeanComparison,
     finite_field_bound,
     h_at_points,
     h_curve,
@@ -94,11 +99,6 @@ DEFAULT_BUDGET = 10_000_000
 def fmt_q(value) -> str:
     fr = Fraction(value)
     return f"{fr} ({float(fr):.4g})"
-
-
-def _q_json(value) -> dict:
-    fr = Fraction(value)
-    return {"num": fr.numerator, "den": fr.denominator}
 
 
 def _yn(flag: bool) -> str:
@@ -356,15 +356,32 @@ def render_spectrum(sp: Spectrum, notes=()) -> str:
 
 
 # ---- report pieces ----
+#
+# Each command builds its report once: text lines plus a JSON payload holding
+# the exact objects, which only _json_default turns into JSON.
+
+def _json_default(obj):
+    """JSON form of the exact objects a report payload holds."""
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, Spectrum):
+        return {"d": obj.d, "s": obj.s, "t": sorted(obj.t.items()),
+                "profile": None if obj.profile is None else sorted(obj.profile.items()),
+                "real": obj.real, "complete": obj.complete, "field_order": obj.field_order}
+    if isinstance(obj, CertificateReport):
+        return {"kind": obj.kind, "applicable": obj.applicable, "holds": obj.holds,
+                "slack": obj.slack, "reason": obj.reason, "bound": obj.bound_value,
+                "e": obj.e_slack, "note": obj.note}
+    if isinstance(obj, MeanComparison):
+        return {**vars(obj), "ordering": _ORDER_NAMES[obj.ordering]}
+    if isinstance(obj, HReport):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} has no report encoding")
+
 
 def _h_text(label: str, rep) -> str:
     return (f"{label} = {fmt_q(rep.h)}  [{rep.formula}; d={rep.d}, s={rep.s}, "
             f"sum_m={rep.sum_m}, sum_m_sq={rep.sum_m_sq}, mbar={fmt_q(rep.mbar)}]")
-
-
-def _h_json(rep) -> dict:
-    return {"h": _q_json(rep.h), "d": rep.d, "s": rep.s, "sum_m": rep.sum_m,
-            "sum_m_sq": rep.sum_m_sq, "mbar": _q_json(rep.mbar), "formula": rep.formula}
 
 
 def _cert_text(c: CertificateReport) -> str:
@@ -381,36 +398,31 @@ def _cert_text(c: CertificateReport) -> str:
     return "; ".join(parts)
 
 
-def _cert_json(c: CertificateReport) -> dict:
-    return {
-        "kind": c.kind,
-        "applicable": c.applicable,
-        "holds": c.holds,
-        "slack": _q_json(c.slack),
-        "reason": c.reason,
-        "bound": None if c.bound_value is None else _q_json(c.bound_value),
-        "e": None if c.e_slack is None else _q_json(c.e_slack),
-        "note": c.note,
-    }
+def _spectrum_line(label: str, sp: Spectrum) -> str:
+    return f"{label}: " + "  ".join(f"t_{k}={v}" for k, v in sorted(sp.t.items()))
 
 
-def _spectrum_json(sp: Spectrum) -> dict:
-    return {
-        "d": sp.d,
-        "s": sp.s,
-        "t": [[k, v] for k, v in sorted(sp.t.items())],
-        "profile": None if sp.profile is None else [[k, v] for k, v in sorted(sp.profile.items())],
-        "real": sp.real,
-        "complete": sp.complete,
-        "field_order": sp.field_order,
-    }
+def _input_line(path: str, inp: InputFile) -> str:
+    if inp.arrangement is None:
+        return f"input: {path} (abstract spectrum)"
+    return f"input: {path} (coordinates over {inp.arrangement.field.describe()})"
+
+
+def _locus(inp: InputFile):
+    """(incidence structure or None, spectrum, points per line or None)."""
+    if inp.kind == "points":
+        raise ParseError("a points file cannot be analyzed on its own")
+    if inp.kind == "coordinates":
+        inc = singular_points(inp.arrangement)
+        return inc, spectrum_of(inc), equidistribution(inc)
+    sp = inp.spectrum
+    return None, sp, sum(sp.profile.values()) if sp.profile else None
 
 
 def certificates_for(sp: Spectrum):
     """The applicable certificate battery for one complete spectrum."""
     certs = [hirzebruch_check(sp), melchior_check(sp), main_lower_bound(sp)]
-    mel = certs[1]
-    if sp.real and not sp.is_pencil() and not mel.holds:
+    if sp.real and not sp.is_pencil() and not certs[1].holds:
         certs.append(CertificateReport(kind=REAL_LOWER_BOUND, applicable=False,
                                        holds=False, slack=Fraction(0),
                                        reason="Melchior inequality violated"))
@@ -421,15 +433,25 @@ def certificates_for(sp: Spectrum):
     return certs
 
 
-def _status(certs) -> int:
+def _certificates(lines: list, payload: dict, certs, heading: str) -> int:
+    """Add the certificate block to both renderings; return the exit status."""
+    if certs:
+        lines.append(heading)
+        lines.extend("  " + _cert_text(c) for c in certs)
+    payload["certificates"] = certs
     return 1 if any(c.applicable and not c.holds for c in certs) else 0
 
 
-def _emit(args, text: str, payload: dict) -> None:
+def _emit(args, lines: list, payload: dict, status: int = 0) -> int:
+    """Write the report with its source and status, as text or JSON; return status."""
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload = {**payload, "source": args.path, "status": status}
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2,
+                                    default=_json_default) + "\n")
     else:
-        sys.stdout.write(text)
+        status_line = f"status: {'ok' if status == 0 else 'certificate failure'}"
+        sys.stdout.write("\n".join(lines + [status_line]) + "\n")
+    return status
 
 
 # ---- commands ----
@@ -475,107 +497,64 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _analyze_points(args, arr: CoordArrangement, pts: PointSet, source: str) -> int:
+def _analyze_points(args, inp: InputFile) -> int:
+    if inp.kind != "coordinates":
+        raise ParseError("--points FILE needs a coordinates input, not a bare spectrum")
+    pts_inp = read_input(args.points)
+    if pts_inp.kind != "points":
+        raise ParseError(f"{args.points} is not a points file")
+    arr, pts = inp.arrangement, pts_inp.points
     given = h_at_points(arr, pts)
-    rows = [("given points", given)]
+    h = {"given points": given}
     notes = []
     try:
-        restricted = restrict_to_singular(pts, arr)
-        rest_rep = h_at_points(arr, restricted)
-        rows.append(("restricted to singular points", rest_rep))
-        if given.h <= -1 and rest_rep.h <= given.h:
+        restricted = h_at_points(arr, restrict_to_singular(pts, arr))
+        h["restricted to singular points"] = restricted
+        if given.h <= -1 and restricted.h <= given.h:
             notes.append("restriction to singular points did not increase H")
     except EmptyResult:
         notes.append("none of the given points is singular")
-    text_lines = [f"input: {source} (coordinates over {arr.field.describe()}), "
-                  f"{len(pts)} given points"]
-    for label, rep in rows:
-        text_lines.append(_h_text(f"H {label}", rep))
-    for n in notes:
-        text_lines.append(f"note: {n}")
-    text_lines.append("status: ok")
-    payload = {
-        "source": source,
-        "field": arr.field.describe(),
-        "h": {label: _h_json(rep) for label, rep in rows},
-        "notes": notes,
-        "status": 0,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return 0
+    lines = [f"{_input_line(args.path, inp)}, {len(pts)} given points"]
+    lines.extend(_h_text(f"H {label}", rep) for label, rep in h.items())
+    lines.extend(f"note: {n}" for n in notes)
+    payload = {"field": arr.field.describe(), "h": h, "notes": notes}
+    return _emit(args, lines, payload)
 
 
 def cmd_analyze(args) -> int:
     inp = read_input(args.path)
-    if inp.kind == "points":
-        raise ParseError("a points file cannot be analyzed on its own")
-    if inp.kind == "coordinates":
-        arr = inp.arrangement
-        if args.points != "full":
-            pts_inp = read_input(args.points)
-            if pts_inp.kind != "points":
-                raise ParseError(f"{args.points} is not a points file")
-            return _analyze_points(args, arr, pts_inp.points, args.path)
-        inc = singular_points(arr)
-        sp = spectrum_of(inc)
-        per_line = equidistribution(inc)
-        field_desc = arr.field.describe()
-    else:
-        sp = inp.spectrum
-        per_line = sum(sp.profile.values()) if sp.profile else None
-        field_desc = None
+    if args.points != "full" and inp.kind != "points":  # _locus rejects a points input
+        return _analyze_points(args, inp)
+    _, sp, per_line = _locus(inp)
     full = h_full(sp)
     curve = h_curve(sp)
     mean = mean_multiplicity_bound(sp)
-    certs = certificates_for(sp)
-    status = _status(certs)
     notes = list(inp.notes)
 
-    text_lines = []
-    origin = f"coordinates over {field_desc}" if field_desc else "abstract spectrum"
-    text_lines.append(f"input: {args.path} ({origin})")
-    text_lines.append(f"d = {sp.d}  s = {sp.s}")
-    text_lines.append("spectrum: " + "  ".join(f"t_{k}={v}" for k, v in sorted(sp.t.items())))
+    lines = [_input_line(args.path, inp), f"d = {sp.d}  s = {sp.s}",
+             _spectrum_line("spectrum", sp)]
     if sp.profile:
-        text_lines.append("per-line profile: "
-                          + "  ".join(f"{k}:{v}" for k, v in sorted(sp.profile.items())))
+        lines.append("per-line profile: "
+                     + "  ".join(f"{k}:{v}" for k, v in sorted(sp.profile.items())))
     if per_line is not None:
-        text_lines.append(f"points per line: {per_line}")
+        lines.append(f"points per line: {per_line}")
     flag_bits = [f"real: {_yn(sp.real)}", f"complete: {_yn(sp.complete)}"]
     if sp.field_order is not None:
         flag_bits.append(f"field order: {sp.field_order}")
-    text_lines.append("  ".join(flag_bits))
-    text_lines.append(_h_text("H full locus", full))
-    text_lines.append(f"H curve = {fmt_q(curve.h)}; infimum h <= -1 attained: "
-                      f"{_yn(curve.infimum_attained)}")
-    text_lines.append(f"mean bound: mbar = {fmt_q(mean.mbar)}, c = {fmt_q(mean.c)}, "
-                      f"ordering = {_ORDER_NAMES[mean.ordering]}, "
-                      f"chain holds: {_yn(mean.chain_holds)}")
-    text_lines.append("certificates:")
-    for c in certs:
-        text_lines.append("  " + _cert_text(c))
+    lines += ["  ".join(flag_bits), _h_text("H full locus", full),
+              f"H curve = {fmt_q(curve.h)}; infimum h <= -1 attained: "
+              f"{_yn(curve.infimum_attained)}",
+              f"mean bound: mbar = {fmt_q(mean.mbar)}, c = {fmt_q(mean.c)}, "
+              f"ordering = {_ORDER_NAMES[mean.ordering]}, "
+              f"chain holds: {_yn(mean.chain_holds)}"]
+    payload = {"field": None if inp.arrangement is None else inp.arrangement.field.describe(),
+               "spectrum": sp, "points_per_line": per_line, "h_full": full,
+               "h_curve": curve, "mean_check": mean, "notes": notes}
+    status = _certificates(lines, payload, certificates_for(sp), "certificates:")
     if notes:
-        text_lines.append("notes:")
-        for n in notes:
-            text_lines.append(f"  - {n}")
-    text_lines.append(f"status: {'ok' if status == 0 else 'certificate failure'}")
-
-    payload = {
-        "source": args.path,
-        "field": field_desc,
-        "spectrum": _spectrum_json(sp),
-        "points_per_line": per_line,
-        "h_full": _h_json(full),
-        "h_curve": {**_h_json(curve), "infimum_attained": curve.infimum_attained},
-        "mean_check": {"mbar": _q_json(mean.mbar), "c": _q_json(mean.c),
-                       "ordering": _ORDER_NAMES[mean.ordering],
-                       "chain_holds": mean.chain_holds},
-        "certificates": [_cert_json(c) for c in certs],
-        "notes": notes,
-        "status": status,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return status
+        lines.append("notes:")
+        lines.extend(f"  - {n}" for n in notes)
+    return _emit(args, lines, payload, status)
 
 
 def _parse_indices(text: str, d: int):
@@ -595,8 +574,7 @@ def _subconfig_remove(args, inp: InputFile) -> int:
     if inp.kind != "coordinates":
         raise NoIncidenceData("removal by line index needs coordinates, not a bare spectrum")
     arr = inp.arrangement
-    inc = singular_points(arr)
-    sp0 = spectrum_of(inc)
+    inc, sp0, per_line = _locus(inp)
     removed = _parse_indices(args.remove, arr.d)
     if len(removed) == arr.d:
         raise RemovingAll("cannot remove every line")
@@ -613,121 +591,75 @@ def _subconfig_remove(args, inp: InputFile) -> int:
     # direct recomputation from coordinates
     sub = arr.without(removed)
     direct = h_at_points(sub, [key for key, _ in inc.points])
-    assert direct.h == h_orig.h, "incidence bookkeeping disagrees with recomputation"
-    if sub.d >= 2:
-        inc2 = singular_points(sub)
-        assert sp_new is not None
-        assert ({k: len(m) for k, m in inc2.points}
-                == {k: len(m) for k, m in restricted.points}), \
-            "restricted locus disagrees with recomputation"
+    if direct.h != h_orig.h:
+        raise InternalInconsistency("incidence bookkeeping disagrees with recomputation")
+    if sub.d >= 2 and (sp_new is None
+                       or {k: len(m) for k, m in singular_points(sub).points}
+                       != {k: len(m) for k, m in restricted.points}):
+        raise InternalInconsistency("restricted locus disagrees with recomputation")
 
-    per_line = equidistribution(inc)
     formula_val = None
     if per_line is not None:
         formula_val = subconfig_formula(h_full(sp0).h, arr.d, d_new, per_line, sp0.s)
-        assert formula_val == h_orig.h, "equidistributed removal formula disagrees"
+        if formula_val != h_orig.h:
+            raise InternalInconsistency("equidistributed removal formula disagrees")
 
-    certs = certificates_for(sp_new) if sp_new is not None else []
-    status = _status(certs)
-
-    text_lines = [f"input: {args.path} (coordinates over {arr.field.describe()})"]
-    text_lines.append(f"removed lines: {removed}  (d: {arr.d} -> {d_new})")
-    text_lines.append(_h_text("H over original locus", h_orig))
+    lines = [_input_line(args.path, inp),
+             f"removed lines: {removed}  (d: {arr.d} -> {d_new})",
+             _h_text("H over original locus", h_orig)]
     if h_new is not None:
-        text_lines.append(_h_text("H over new singular locus", h_new))
-        text_lines.append("new spectrum: "
-                          + "  ".join(f"t_{k}={v}" for k, v in sorted(sp_new.t.items()))
-                          + f"  (s = {sp_new.s})")
+        lines.append(_h_text("H over new singular locus", h_new))
+        lines.append(_spectrum_line("new spectrum", sp_new) + f"  (s = {sp_new.s})")
     else:
-        text_lines.append("new singular locus: empty (a single line remains)")
+        lines.append("new singular locus: empty (a single line remains)")
     if formula_val is not None:
-        text_lines.append(f"formula route (n = {per_line}): {fmt_q(formula_val)}; "
-                          "agrees with quadratic over original locus: yes")
+        lines.append(f"formula route (n = {per_line}): {fmt_q(formula_val)}; "
+                     "agrees with quadratic over original locus: yes")
     else:
-        text_lines.append("formula route: skipped (lines carry varying point counts)")
-    text_lines.append("direct recomputation: consistent")
-    if certs:
-        text_lines.append("certificates (new singular locus):")
-        for c in certs:
-            text_lines.append("  " + _cert_text(c))
-    text_lines.append(f"status: {'ok' if status == 0 else 'certificate failure'}")
-
-    payload = {
-        "source": args.path,
-        "removed": removed,
-        "d": arr.d,
-        "d_new": d_new,
-        "h_over_original": _h_json(h_orig),
-        "h_over_new": None if h_new is None else _h_json(h_new),
-        "new_spectrum": None if sp_new is None else _spectrum_json(sp_new),
-        "formula_h": None if formula_val is None else _q_json(formula_val),
-        "points_per_line": per_line,
-        "consistent": True,
-        "certificates": [_cert_json(c) for c in certs],
-        "status": status,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return status
+        lines.append("formula route: skipped (lines carry varying point counts)")
+    lines.append("direct recomputation: consistent")
+    payload = {"removed": removed, "d": arr.d, "d_new": d_new, "h_over_original": h_orig,
+               "h_over_new": h_new, "new_spectrum": sp_new, "formula_h": formula_val,
+               "points_per_line": per_line, "consistent": True}
+    certs = certificates_for(sp_new) if sp_new is not None else []
+    status = _certificates(lines, payload, certs, "certificates (new singular locus):")
+    return _emit(args, lines, payload, status)
 
 
 def _subconfig_pairs(args, inp: InputFile) -> int:
     m = args.pairs_meeting
-    direct_pair = None
-    if inp.kind == "coordinates":
-        inc = singular_points(inp.arrangement)
-        sp = spectrum_of(inc)
-        if sp.profile is None:
-            raise NotEquidistributed(
-                "per-line point profiles differ; profile-based pair removal unavailable")
-    else:
-        inc = None
-        sp = inp.spectrum
+    inc, sp, _ = _locus(inp)
+    if inc is not None and sp.profile is None:
+        raise NotEquidistributed(
+            "per-line point profiles differ; profile-based pair removal unavailable")
     rep = pair_removal_from_profile(sp, m)
+    direct_pair = None
     if inc is not None:
-        for key, members in inc.points:
-            if len(members) == m:
-                direct_pair = sorted(members)[:2]
-                break
-        assert direct_pair is not None
+        direct_pair = next((sorted(members)[:2] for _, members in inc.points
+                            if len(members) == m), None)
+        if direct_pair is None:
+            raise InternalInconsistency(f"profile has a multiplicity-{m} point, locus has none")
         kept = remove_lines(inc, direct_pair, KEEP_ORIGINAL_POINTS)
-        assert h_quadratic(kept).h == rep.over_original.h, \
-            "profile-based removal disagrees with direct removal"
+        if h_quadratic(kept).h != rep.over_original.h:
+            raise InternalInconsistency("profile-based removal disagrees with direct removal")
         restricted = remove_lines(inc, direct_pair, RESTRICT_TO_NEW_SINGULAR)
-        assert spectrum_of(restricted).t == rep.new_spectrum.t, \
-            "profile-based spectrum disagrees with direct removal"
-    certs = certificates_for(rep.new_spectrum)
-    status = _status(certs)
+        if spectrum_of(restricted).t != rep.new_spectrum.t:
+            raise InternalInconsistency("profile-based spectrum disagrees with direct removal")
 
-    source_desc = ("coordinates over " + inp.arrangement.field.describe()
-                   if inp.kind == "coordinates" else "abstract spectrum")
-    text_lines = [f"input: {args.path} ({source_desc})"]
-    text_lines.append(f"pair removal at a multiplicity-{m} point  (d: {sp.d} -> {sp.d - 2})")
-    text_lines.append(_h_text("H over original locus", rep.over_original))
-    text_lines.append(_h_text("H over new singular locus", rep.over_new))
-    text_lines.append("new spectrum: "
-                      + "  ".join(f"t_{k}={v}" for k, v in sorted(rep.new_spectrum.t.items()))
-                      + f"  (s = {rep.new_spectrum.s})")
+    lines = [_input_line(args.path, inp),
+             f"pair removal at a multiplicity-{m} point  (d: {sp.d} -> {sp.d - 2})",
+             _h_text("H over original locus", rep.over_original),
+             _h_text("H over new singular locus", rep.over_new),
+             _spectrum_line("new spectrum", rep.new_spectrum)
+             + f"  (s = {rep.new_spectrum.s})"]
     if direct_pair is not None:
-        text_lines.append(f"direct removal of lines {direct_pair}: consistent")
-    text_lines.append("certificates (new singular locus):")
-    for c in certs:
-        text_lines.append("  " + _cert_text(c))
-    text_lines.append(f"status: {'ok' if status == 0 else 'certificate failure'}")
-
-    payload = {
-        "source": args.path,
-        "meeting_multiplicity": m,
-        "d": sp.d,
-        "d_new": sp.d - 2,
-        "h_over_original": _h_json(rep.over_original),
-        "h_over_new": _h_json(rep.over_new),
-        "new_spectrum": _spectrum_json(rep.new_spectrum),
-        "direct_pair": direct_pair,
-        "certificates": [_cert_json(c) for c in certs],
-        "status": status,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return status
+        lines.append(f"direct removal of lines {direct_pair}: consistent")
+    payload = {"meeting_multiplicity": m, "d": sp.d, "d_new": sp.d - 2,
+               "h_over_original": rep.over_original, "h_over_new": rep.over_new,
+               "new_spectrum": rep.new_spectrum, "direct_pair": direct_pair}
+    status = _certificates(lines, payload, certificates_for(rep.new_spectrum),
+                           "certificates (new singular locus):")
+    return _emit(args, lines, payload, status)
 
 
 def _subconfig_formula_cmd(args, inp: InputFile) -> int:
@@ -736,13 +668,7 @@ def _subconfig_formula_cmd(args, inp: InputFile) -> int:
         raise ParseError(f"expected D or D,N after --formula, got {args.formula!r}")
     d_prime = _int_of(parts[0], "subconfiguration size")
     n_given = _int_of(parts[1], "points per line") if len(parts) == 2 else None
-    if inp.kind == "coordinates":
-        inc = singular_points(inp.arrangement)
-        sp = spectrum_of(inc)
-        per_line = equidistribution(inc)
-    else:
-        sp = inp.spectrum
-        per_line = sum(sp.profile.values()) if sp.profile else None
+    _, sp, per_line = _locus(inp)
     n = n_given if n_given is not None else per_line
     if n is None:
         raise NotEquidistributed(
@@ -750,22 +676,12 @@ def _subconfig_formula_cmd(args, inp: InputFile) -> int:
     h0 = h_full(sp).h
     value = subconfig_formula(h0, sp.d, d_prime, n, sp.s)
 
-    text_lines = [f"input: {args.path}"]
-    text_lines.append(f"formula route: d = {sp.d}, d' = {d_prime}, n = {n}, s = {sp.s}")
-    text_lines.append(f"H over original locus = h + (d-d')(n-1)/s = {fmt_q(value)}")
-    text_lines.append("status: ok")
-    payload = {
-        "source": args.path,
-        "d": sp.d,
-        "d_prime": d_prime,
-        "n": n,
-        "s": sp.s,
-        "h_full": _q_json(h0),
-        "h_formula": _q_json(value),
-        "status": 0,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return 0
+    lines = [f"input: {args.path}",
+             f"formula route: d = {sp.d}, d' = {d_prime}, n = {n}, s = {sp.s}",
+             f"H over original locus = h + (d-d')(n-1)/s = {fmt_q(value)}"]
+    payload = {"d": sp.d, "d_prime": d_prime, "n": n, "s": sp.s,
+               "h_full": h0, "h_formula": value}
+    return _emit(args, lines, payload)
 
 
 def cmd_subconfig(args) -> int:
@@ -812,51 +728,28 @@ def cmd_search(args) -> int:
             if best is None or h2 < best[0] or (h2 == best[0] and combo < best[1]):
                 best = (h2, combo, sp2)
 
-    text_lines = [f"input: {args.path} (coordinates over {arr.field.describe()})"]
-    text_lines.append(f"search: removal subsets of size 1..{max_remove} of {d} lines; "
-                      f"objective {args.objective}")
-    text_lines.append(f"candidates: {total} within budget {budget}; evaluated {evaluated}, "
-                      f"without singular points {no_singular}, "
-                      f"prunable by lower bound {prunable}")
+    lines = [_input_line(args.path, inp),
+             f"search: removal subsets of size 1..{max_remove} of {d} lines; "
+             f"objective {args.objective}",
+             f"candidates: {total} within budget {budget}; evaluated {evaluated}, "
+             f"without singular points {no_singular}, "
+             f"prunable by lower bound {prunable}"]
     if best is None:
-        text_lines.append("no subarrangement retains a singular point")
-        text_lines.append("status: ok")
-        payload = {"source": args.path, "best": None, "evaluated": evaluated,
-                   "budget": budget, "status": 0}
-        _emit(args, "\n".join(text_lines) + "\n", payload)
-        return 0
+        lines.append("no subarrangement retains a singular point")
+        payload = {"best": None, "evaluated": evaluated, "budget": budget}
+        return _emit(args, lines, payload)
     h_best, combo, sp_best = best
-    certs = certificates_for(sp_best)
-    status = _status(certs)
-    text_lines.append(f"best removal: {list(combo)}  (d' = {d - len(combo)})")
-    text_lines.append(f"H over new singular locus = {fmt_q(h_best)}")
-    text_lines.append("new spectrum: "
-                      + "  ".join(f"t_{k}={v}" for k, v in sorted(sp_best.t.items()))
-                      + f"  (s = {sp_best.s})")
-    text_lines.append("certificates (best subarrangement):")
-    for c in certs:
-        text_lines.append("  " + _cert_text(c))
-    text_lines.append(f"status: {'ok' if status == 0 else 'certificate failure'}")
-    payload = {
-        "source": args.path,
-        "objective": args.objective,
-        "max_remove": max_remove,
-        "budget": budget,
-        "candidates": total,
-        "evaluated": evaluated,
-        "no_singular": no_singular,
-        "prunable": prunable,
-        "best": {
-            "removed": list(combo),
-            "d_new": d - len(combo),
-            "h": _q_json(h_best),
-            "spectrum": _spectrum_json(sp_best),
-        },
-        "certificates": [_cert_json(c) for c in certs],
-        "status": status,
-    }
-    _emit(args, "\n".join(text_lines) + "\n", payload)
-    return status
+    lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
+              f"H over new singular locus = {fmt_q(h_best)}",
+              _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]
+    payload = {"objective": args.objective, "max_remove": max_remove, "budget": budget,
+               "candidates": total, "evaluated": evaluated, "no_singular": no_singular,
+               "prunable": prunable,
+               "best": {"removed": list(combo), "d_new": d - len(combo),
+                        "h": h_best, "spectrum": sp_best}}
+    status = _certificates(lines, payload, certificates_for(sp_best),
+                           "certificates (best subarrangement):")
+    return _emit(args, lines, payload, status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -910,6 +803,9 @@ def main(argv=None) -> int:
     except (NegarrError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
 
 
 def run():

@@ -2,6 +2,7 @@
 
 Everything user-triggerable derives from NegarrError so the command line
 layer can map any of it to a single input-error exit code.
+InternalInconsistency is the one exception that is not user-triggerable.
 """
 
 from __future__ import annotations
@@ -9,6 +10,15 @@ from __future__ import annotations
 
 class NegarrError(Exception):
     """Base class for all library errors."""
+
+
+class InternalInconsistency(Exception):
+    """Two exact routes to the same value disagree: a defect in negarr.
+
+    Deliberately not a NegarrError or ValueError, so it is never reported as
+    an input error.  Raised explicitly rather than by assert, so the checks
+    also run under python -O.
+    """
 
 
 # ---- field construction and arithmetic ----

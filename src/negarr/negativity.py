@@ -26,6 +26,7 @@ from .arrangement import (
 from .errors import (
     BadMultiplicity,
     IncompleteLocus,
+    InternalInconsistency,
     InvalidSubsize,
     MelchiorViolated,
     NoIncidenceData,
@@ -146,7 +147,8 @@ def h_full(x) -> HReport:
     """Linear-form H over the full singular locus, cross-checked quadratically."""
     d, _, s, sum_m, sum_m_sq = _complete_counts(x)
     rep = _report(d, s, sum_m, sum_m_sq, FORMULA_FULL)
-    assert rep.h == Fraction(d * d - sum_m_sq, s), "linear and quadratic forms disagree"
+    if rep.h != Fraction(d * d - sum_m_sq, s):
+        raise InternalInconsistency("linear and quadratic forms disagree")
     return rep
 
 
@@ -169,7 +171,8 @@ def h_fattened(x, k: int) -> Fraction:
     base = h_full(x)
     direct = Fraction(k * k * base.d * base.d - k * k * base.sum_m_sq, base.s)
     scaled = k * k * base.h
-    assert direct == scaled, "fattening paths disagree"
+    if direct != scaled:
+        raise InternalInconsistency("fattening paths disagree")
     return scaled
 
 
@@ -289,7 +292,8 @@ def real_identity_and_bound(spec: Spectrum) -> CertificateReport:
     h = h_full(spec).h
     bound = Fraction(-3) + Fraction(e + 3, e + 3 + sprime)
     identity_rhs = Fraction(d, s) + bound
-    assert h == identity_rhs, "real identity failed"
+    if h != identity_rhs:
+        raise InternalInconsistency("real identity failed")
     slack = h - bound
     return CertificateReport(kind=REAL_LOWER_BOUND, applicable=True,
                              holds=slack >= 0, slack=slack,

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import negarr
 from negarr.cli import main, parse_field, parse_input, render_spectrum
+from negarr.errors import InternalInconsistency, NegarrError
 from negarr.fields import ExtensionField, PrimeField, RationalField
 
 
@@ -121,6 +125,48 @@ def test_analyze_points_mode(tmp_path, capsys):
     assert code == 0
     assert "H given points = 2/3" in out
     assert "H restricted to singular points = 3/2" in out
+
+
+def test_analyze_points_needs_coordinates(tmp_path, capsys):
+    f = tmp_path / "sp.txt"
+    f.write_text("spectrum d=9\nt 3 12\nflags complete\n")
+    code, out, err = _run(capsys, "analyze", str(f), "--points", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert out == ""
+    assert "needs a coordinates input" in err
+
+
+def test_subconfig_rejects_points_file(tmp_path, capsys):
+    f = tmp_path / "pts.txt"
+    f.write_text("field Q\npoint 0 0 1\n")
+    for option in (("--formula", "3"), ("--pairs-meeting", "3")):
+        code, _, err = _run(capsys, "subconfig", str(f), *option)
+        assert code == 2
+        assert "points file" in err
+
+
+# Makes the direct recomputation in `subconfig --remove` disagree with the
+# incidence bookkeeping, then runs the CLI.
+_INJECT_DISAGREEMENT = """
+import dataclasses, sys
+import negarr.cli as cli
+real = cli.h_at_points
+cli.h_at_points = lambda arr, pts: dataclasses.replace(real(arr, pts), h=real(arr, pts).h + 1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_internal_inconsistency_exit_code_under_optimize(tmp_path, capsys):
+    assert not issubclass(InternalInconsistency, (NegarrError, ValueError))
+    f = tmp_path / "f3.txt"
+    _run(capsys, "generate", "fermat:3", "--out", str(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INJECT_DISAGREEMENT,
+                           "subconfig", str(f), "--remove", "0"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "consistent" not in proc.stdout
+    assert "internal inconsistency: incidence bookkeeping" in proc.stderr
 
 
 def test_subconfig_remove(tmp_path, capsys):
