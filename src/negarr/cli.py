@@ -70,7 +70,7 @@ from .errors import (
     RemovingAll,
     SearchTooLarge,
 )
-from .fields import ExtensionField, Field, PrimeField, RationalField
+from .fields import Field, FieldElement, RationalField, parse_field
 from .negativity import (
     REAL_LOWER_BOUND,
     CertificateReport,
@@ -108,117 +108,14 @@ def _yn(flag: bool) -> str:
 _ORDER_NAMES = {-1: "less", 0: "equal", 1: "greater"}
 
 
-# ---- element and field descriptor parsing ----
+# ---- element literals ----
 
-def _split_top(text: str):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
-    return parts
-
-
-def parse_element(field: Field, token: str):
+def parse_element(field: Field, token: str) -> FieldElement:
     """One exact element literal, in the syntax format_rep emits."""
     try:
-        if isinstance(field, RationalField):
-            return field.element(Fraction(token))
-        if isinstance(field, PrimeField):
-            return field.element(int(token))
-        if isinstance(field, ExtensionField):
-            if token.startswith("[") and token.endswith("]"):
-                parts = _split_top(token[1:-1])
-                if len(parts) > field.degree:
-                    raise ParseError(f"vector {token!r} longer than degree {field.degree}")
-                reps = [parse_element(field.base, p).value for p in parts]
-                return field.element(reps)
-            return field.element(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
+        return FieldElement(field, field.parse_rep(token))
+    except ValueError as exc:
         raise ParseError(f"bad element literal {token!r} for {field!r}: {exc}") from None
-    raise ParseError(f"unsupported field {field!r}")
-
-
-def _tokenize_field(text: str):
-    out, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch == "[":
-            depth, j = 0, i
-            while j < len(text):
-                if text[j] == "[":
-                    depth += 1
-                elif text[j] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth:
-                raise ParseError(f"unbalanced brackets in field descriptor {text!r}")
-            out.append(text[i:j + 1].replace(" ", ""))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()[":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def _parse_descriptor(tokens):
-    if not tokens:
-        raise ParseError("empty field descriptor")
-    head = tokens[0]
-    if head == "Q":
-        return RationalField(), tokens[1:]
-    if head == "GF":
-        if len(tokens) < 2:
-            raise ParseError("GF needs a prime")
-        try:
-            p = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"bad prime {tokens[1]!r}") from None
-        return PrimeField(p), tokens[2:]
-    if head == "EXT":
-        rest = tokens[1:]
-        if not rest:
-            raise ParseError("EXT needs a base field and a modulus")
-        if rest[0] == "(":
-            base, rest = _parse_descriptor(rest[1:])
-            if not rest or rest[0] != ")":
-                raise ParseError("unbalanced parentheses in field descriptor")
-            rest = rest[1:]
-        else:
-            base, rest = _parse_descriptor(rest)
-        if not rest or not rest[0].startswith("["):
-            raise ParseError("EXT modulus must be a bracketed coefficient vector")
-        coeffs = [parse_element(base, p).value for p in _split_top(rest[0][1:-1])]
-        return ExtensionField(base, coeffs), rest[1:]
-    raise ParseError(f"unknown field descriptor {head!r}")
-
-
-def parse_field(text: str) -> Field:
-    field, rest = _parse_descriptor(_tokenize_field(text))
-    if rest:
-        raise ParseError(f"trailing tokens in field descriptor: {rest}")
-    return field
 
 
 # ---- input files ----
@@ -236,7 +133,7 @@ class InputFile:
 
 def parse_input(text: str) -> InputFile:
     field = None
-    line_rows, point_rows, notes = [], [], []
+    rows, notes = [], []  # rows: the tokens of each line and point row
     spec_d = None
     t, profile = {}, {}
     real, complete, order = False, True, None
@@ -250,10 +147,8 @@ def parse_input(text: str) -> InputFile:
             notes.append(line[len("note"):].strip())
         elif key == "field":
             field = parse_field(line[len("field"):])
-        elif key == "line":
-            line_rows.append(tokens[1:])
-        elif key == "point":
-            point_rows.append(tokens[1:])
+        elif key in ("line", "point"):
+            rows.append(tokens)
         elif key == "spectrum":
             if len(tokens) != 2 or not tokens[1].startswith("d="):
                 raise ParseError(f"expected 'spectrum d=N', got {line!r}")
@@ -279,37 +174,35 @@ def parse_input(text: str) -> InputFile:
         else:
             raise ParseError(f"unknown directive {key!r}")
     if spec_d is not None:
-        if line_rows or point_rows:
+        if rows:
             raise ParseError("a file holds either a spectrum or coordinates, not both")
         if not t:
             raise ParseError("spectrum block has no t rows")
         sp = Spectrum(spec_d, t, real=real, complete=complete,
                       profile=profile or None, field_order=order)
         return InputFile("spectrum", spectrum=sp, notes=notes)
-    if line_rows and point_rows:
+    if not rows:
+        raise ParseError("input holds no lines, points, or spectrum")
+    kind = rows[0][0]
+    if any(row[0] != kind for row in rows):
         raise ParseError("a file holds either line rows or point rows, not both")
-    if line_rows:
-        if field is None:
-            raise ParseError("coordinates need a field row")
-        lines = []
-        for row in line_rows:
-            if len(row) != 3:
-                raise ParseError(f"line rows need three entries, got {row}")
-            lines.append(ProjLine(field, tuple(parse_element(field, tok) for tok in row)))
-        arr_real = True if isinstance(field, RationalField) else real
-        return InputFile("coordinates",
-                         arrangement=CoordArrangement(lines, real=arr_real),
+    if field is None:
+        raise ParseError(f"{kind} rows need a field row")
+    triples = [_triple(field, row) for row in rows]
+    if kind == "point":
+        return InputFile("points", points=PointSet([ProjPoint(field, c) for c in triples]),
                          notes=notes)
-    if point_rows:
-        if field is None:
-            raise ParseError("points need a field row")
-        pts = []
-        for row in point_rows:
-            if len(row) != 3:
-                raise ParseError(f"point rows need three entries, got {row}")
-            pts.append(ProjPoint(field, tuple(parse_element(field, tok) for tok in row)))
-        return InputFile("points", points=PointSet(pts), notes=notes)
-    raise ParseError("input holds no lines, points, or spectrum")
+    arr_real = True if isinstance(field, RationalField) else real
+    lines = [ProjLine(field, c) for c in triples]
+    return InputFile("coordinates", arrangement=CoordArrangement(lines, real=arr_real),
+                     notes=notes)
+
+
+def _triple(field: Field, row):
+    """The three element literals of a 'line' or 'point' row."""
+    if len(row) != 4:
+        raise ParseError(f"{row[0]} rows need three entries, got {row[1:]}")
+    return tuple(parse_element(field, tok) for tok in row[1:])
 
 
 def _int_of(text: str, what: str) -> int:

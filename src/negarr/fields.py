@@ -15,6 +15,7 @@ from functools import lru_cache
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InternalInconsistency,
     NegativeDiscriminantInput,
     NotPrime,
     ReducibleModulus,
@@ -26,19 +27,28 @@ EQUAL = 0
 GREATER = 1
 
 
+# Miller-Rabin over the first 13 primes is exact below this bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin primality test over _MR_BASES.
+
+    Raises ValueError for n >= _MR_BOUND, where these bases are not known to
+    suffice.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: the primality test "
+                         f"is proven only below {_MR_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        if pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -179,7 +189,7 @@ class Field:
         raise NotImplementedError("field is not finite")
 
     # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, _is_zero,
-    # format_rep, sort_key_rep, describe
+    # format_rep, parse_rep (its inverse), sort_key_rep, describe
 
 
 class RationalField(Field):
@@ -218,6 +228,12 @@ class RationalField(Field):
 
     def format_rep(self, a):
         return str(a)
+
+    def parse_rep(self, token):
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
 
     def sort_key_rep(self, a):
         return (a.numerator, a.denominator)
@@ -279,6 +295,9 @@ class PrimeField(Field):
 
     def format_rep(self, a):
         return str(a)
+
+    def parse_rep(self, token):
+        return int(token) % self.p
 
     def sort_key_rep(self, a):
         return (a,)
@@ -355,13 +374,6 @@ def _pdivmod(field, num, den):
     return _ptrim(field, quot), rem
 
 
-def _peval(field, poly, x):
-    acc = field._coerce_rep(0)
-    for c in reversed(poly):
-        acc = field._add(field._mul(acc, x), c)
-    return acc
-
-
 def _pinv_mod(field, a, modulus):
     """Inverse of a modulo the given polynomial, or the nontrivial gcd found."""
     old_r, r = _ptrim(field, a), list(modulus)
@@ -374,21 +386,27 @@ def _pinv_mod(field, a, modulus):
 
 
 def is_irreducible_mod_p(field: PrimeField, coeffs) -> bool:
-    """Exhaustive irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin's irreducibility test for a monic polynomial f over GF(p).
+
+    f of degree n is irreducible iff x^(p^n) = x mod f and, for each prime r
+    dividing n, gcd(x^(p^(n/r)) - x, f) = 1 (Rabin, "Probabilistic algorithms
+    in finite fields", SIAM J. Comput. 1980).  The powers are taken in
+    GF(p)[x]/(f), which is a ring rather than a field until the test passes.
+    """
     coeffs = [field._coerce_rep(c) for c in coeffs]
-    deg = len(coeffs) - 1
-    if deg < 1:
+    n = len(coeffs) - 1
+    if n < 2:
+        return n == 1
+    x = ExtensionField(field, coeffs, assume_irreducible=True).gen()
+    frobenius = [x]  # x^(p^k) mod f for k = 0..n
+    for _ in range(n):
+        frobenius.append(frobenius[-1] ** field.p)
+    if frobenius[n] != x:
         return False
-    for x in range(field.p):
-        if field._is_zero(_peval(field, coeffs, x)):
-            return False
-    if deg <= 3:
-        return True
-    for j in range(2, deg // 2 + 1):
-        for tail in itertools.product(range(field.p), repeat=j):
-            div = list(tail) + [1]
-            _, rem = _pdivmod(field, coeffs, div)
-            if not rem:
+    for r in range(2, n + 1):
+        if n % r == 0 and is_prime(r):
+            gcd, _ = _pinv_mod(field, list((frobenius[n // r] - x).value), coeffs)
+            if len(gcd) != 1:
                 return False
     return True
 
@@ -429,7 +447,7 @@ class ExtensionField(Field):
     """base[x]/(modulus) for a monic modulus of degree at least 2.
 
     Elements are fixed-length coefficient vectors over the base field.
-    Irreducibility is verified exhaustively over prime fields and by the
+    Irreducibility is verified by Rabin's test over prime fields and by the
     rational root test over Q; beyond degree 3 over Q (and always over an
     extension base) the caller's word is accepted and the handle is tagged
     unvalidated, with an UnvalidatedModulusWarning.
@@ -450,14 +468,14 @@ class ExtensionField(Field):
             pass
         elif isinstance(base, PrimeField):
             if not is_irreducible_mod_p(base, coeffs):
-                raise ReducibleModulus(f"{self._modulus_str()} factors over {base}")
+                raise ReducibleModulus(f"{self.format_rep(self.modulus)} factors over {base}")
         elif isinstance(base, RationalField):
             if _has_rational_root(coeffs):
-                raise ReducibleModulus(f"{self._modulus_str()} has a rational root")
+                raise ReducibleModulus(f"{self.format_rep(self.modulus)} has a rational root")
             if self.degree > 3:
                 self.modulus_validated = False
                 warnings.warn(
-                    f"irreducibility of {self._modulus_str()} over Q not verified "
+                    f"irreducibility of {self.format_rep(self.modulus)} over Q not verified "
                     "beyond the rational root test",
                     UnvalidatedModulusWarning,
                     stacklevel=2,
@@ -465,13 +483,10 @@ class ExtensionField(Field):
         else:
             self.modulus_validated = False
             warnings.warn(
-                f"irreducibility of {self._modulus_str()} over {base} not verified",
+                f"irreducibility of {self.format_rep(self.modulus)} over {base} not verified",
                 UnvalidatedModulusWarning,
                 stacklevel=2,
             )
-
-    def _modulus_str(self):
-        return "[" + ",".join(self.base.format_rep(c) for c in self.modulus) + "]"
 
     def _pad(self, coeffs):
         zero = self.base._coerce_rep(0)
@@ -531,9 +546,8 @@ class ExtensionField(Field):
             raise DivisionByZero(f"division by zero in {self}")
         g, u = _pinv_mod(self.base, list(a), list(self.modulus))
         if len(g) != 1:
-            raise ReducibleModulus(
-                f"{self._modulus_str()} shares a factor with an element; modulus is reducible"
-            )
+            raise ReducibleModulus(f"{self.format_rep(self.modulus)} shares a factor "
+                                   "with an element; modulus is reducible")
         scale = self.base._inv(g[0])
         return self._pad([self.base._mul(c, scale) for c in u])
 
@@ -543,13 +557,22 @@ class ExtensionField(Field):
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
 
+    def parse_rep(self, token):
+        token = token.strip()
+        if not token.startswith("["):
+            return self._pad([self.base.parse_rep(token)])
+        reps = _parse_vector(self.base, token)
+        if len(reps) > self.degree:
+            raise ValueError(f"vector {token!r} longer than degree {self.degree}")
+        return self._pad(reps)
+
     def sort_key_rep(self, a):
         return tuple(self.base.sort_key_rep(c) for c in a)
 
     def describe(self):
         inner = self.base.describe()
         atom = inner if inner == "Q" else f"({inner})"
-        return f"EXT {atom} {self._modulus_str()}"
+        return f"EXT {atom} {self.format_rep(self.modulus)}"
 
     @property
     def order(self):
@@ -575,20 +598,63 @@ class ExtensionField(Field):
         return self.describe()
 
 
-def _int_poly_div_exact(num, den):
-    """Exact division of integer polynomials, den monic. Asserts zero remainder."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        coef = num[-1]
-        quot[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        while num and num[-1] == 0:
-            num.pop()
-    assert not any(num), "division was not exact"
-    return quot
+# ---- the literal and descriptor grammar: inverses of format_rep and describe ----
+
+def _split_top(text: str):
+    """Split at the commas outside brackets."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {text!r}")
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth:
+        raise ValueError(f"unbalanced brackets in {text!r}")
+    parts.append("".join(cur))
+    return parts
+
+
+def _parse_vector(field: Field, token: str):
+    """Representations of the entries of a literal such as [1,0,-1/2]."""
+    if not (token.startswith("[") and token.endswith("]")):
+        raise ValueError(f"expected a bracketed vector, got {token!r}")
+    return [field.parse_rep(part) for part in _split_top(token[1:-1])]
+
+
+def parse_field(text: str) -> Field:
+    """The field a describe() string names: Q, GF p, or EXT base [modulus].
+
+    The base of EXT is Q, GF p, or a descriptor in parentheses, and the
+    modulus holds no parentheses, so the text splits from the right: the
+    modulus is the first [...] after the last ")".  Malformed text raises
+    ValueError.
+    """
+    text = text.strip()
+    if text == "Q":
+        return RationalField()
+    if text.startswith("GF"):
+        try:
+            p = int(text[2:])
+        except ValueError:
+            raise ValueError(f"GF needs a prime, got {text[2:].strip()!r}") from None
+        return PrimeField(p)
+    if not text.startswith("EXT"):
+        raise ValueError(f"unknown field descriptor {text!r}")
+    at = text.find("[", text.rfind(")") + 1)
+    if at < 0:
+        raise ValueError(f"EXT needs a base field and a bracketed modulus, got {text!r}")
+    base_text = text[3:at].strip()
+    if base_text.startswith("(") and base_text.endswith(")"):
+        base_text = base_text[1:-1]
+    base = parse_field(base_text)
+    return ExtensionField(base, _parse_vector(base, text[at:]))
 
 
 @lru_cache(maxsize=None)
@@ -600,13 +666,14 @@ def cyclotomic_polynomial(n: int) -> tuple:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+            poly, rem = _pdivmod(RationalField(), poly,
+                                 [Fraction(c) for c in cyclotomic_polynomial(d)])
+            if rem:
+                raise InternalInconsistency(f"Phi_{d} does not divide x^{n} - 1")
+    return tuple(int(c) for c in poly)
 
 
 def cyclotomic_field(n: int) -> Field:

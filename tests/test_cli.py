@@ -32,6 +32,20 @@ def test_parse_field_descriptors():
     assert parse_field(gf4.describe()) == gf4
 
 
+@pytest.mark.parametrize("descriptor", [
+    "", "GF", "GF x", "EXT Q", "EXT Q [1,1,1", "EXT Q 1,1,1]", "EXT (GF 2 [1,1,1]",
+    "EXT Q []", "EXT Q [1,1/0,1]", "GF 7 8", "EXT ]",
+    "GF 1000000000000000000000000000057",  # beyond the proven primality bound
+])
+def test_malformed_field_row_is_input_error(descriptor, tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"field {descriptor}\nline 1 0 0\nline 0 1 0\n")
+    code, out, err = _run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_parse_input_spectrum_defaults():
     inp = parse_input("spectrum d=9\nt 3 12\n")
     sp = inp.spectrum

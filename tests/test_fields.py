@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -23,7 +24,9 @@ from negarr.fields import (
     compare_with_surd_mean,
     cyclotomic_field,
     cyclotomic_polynomial,
+    is_irreducible_mod_p,
     is_prime,
+    parse_field,
 )
 
 Q = RationalField()
@@ -113,6 +116,55 @@ def test_is_prime():
     assert not is_prime(0)
     with pytest.raises(NotPrime):
         PrimeField(6)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10 ** 5
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, int(limit ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(sieve[n * n::n])
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_large_inputs():
+    # strong pseudoprimes to the bases 2; 2, 3; 2..7; 2..37
+    for n in (2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(10 ** 15 + 37)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(10 ** 30 + 57)
+
+
+def _moebius(n):
+    result, f = 1, 2
+    while n > 1:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            result = -result
+        f += 1
+    return result
+
+
+def test_irreducible_counts_match_gauss():
+    # monic irreducibles of degree n over GF(p): (1/n) sum_{d | n} mu(d) p^(n/d)
+    for p, degrees in ((2, range(1, 7)), (3, range(1, 5)), (5, range(1, 4))):
+        field = PrimeField(p)
+        for n in degrees:
+            count = sum(is_irreducible_mod_p(field, tail + (1,))
+                        for tail in itertools.product(range(p), repeat=n))
+            expected = sum(_moebius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            assert count * n == expected, (p, n)
+
+
+def test_high_degree_modulus_over_large_prime():
+    # the exhaustive factor search this replaces did not finish in 20 s
+    f = ExtensionField(PrimeField(101), [14, 3, 39, 49, 43, 53, 24, 33, 1])
+    assert f.gen() ** (101 ** 8 - 1) == f.one
+    with pytest.raises(ReducibleModulus):
+        ExtensionField(PrimeField(101), [0, 3, 39, 49, 43, 53, 24, 33, 1])  # root 0
 
 
 def test_prime_field_iteration_and_order():
@@ -259,6 +311,22 @@ def test_surd_mean_random_against_quadratic_sign():
             assert got == EQUAL
         else:
             assert got == (LESS if poly < 0 else GREATER)
+
+
+def test_grammar_round_trip():
+    rng = random.Random(31)
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        tower = ExtensionField(gf4, [gf4.gen().value, [1], [1]])
+        fields = _sample_fields() + [PrimeField(101), cyclotomic_field(12), tower]
+        for field in fields:
+            assert parse_field(field.describe()) == field
+            for _ in range(20):
+                v = _random_element(field, rng).value
+                assert field.parse_rep(field.format_rep(v)) == v
+    assert parse_field(" EXT( GF 2 )[ 1, 1,1 ] ") == gf4
+    assert tower.parse_rep("[ [0,1] , [1] ]") == tower.element([[0, 1], [1]]).value
 
 
 def test_repr_round_trip_is_stable():
