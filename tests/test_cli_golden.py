@@ -50,6 +50,8 @@ CASES = {
     "search-best": ["search", "{in}/fermat3.txt", "--max-remove", "2"],
     "search-best-real": ["search", "{in}/kgon4.txt", "--max-remove", "2"],
     "search-none-singular": ["search", "{in}/pencil2.txt"],
+    "search-ext-r3": ["search", "{in}/pg2-4.txt", "--max-remove", "3"],
+    "search-rational-r3": ["search", "{in}/kgon4-infinity.txt", "--max-remove", "3"],
     # input errors
     "error-missing-file": ["analyze", "{in}/missing.txt"],
     "error-identity": ["analyze", "{in}/broken-identity.txt"],
