@@ -40,7 +40,6 @@ with --budget or NEGARR_BUDGET.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -82,6 +81,7 @@ from .negativity import (
     h_full,
     h_quadratic,
     hirzebruch_check,
+    main_bound_case,
     main_lower_bound,
     mean_multiplicity_bound,
     melchior_check,
@@ -586,6 +586,64 @@ def cmd_subconfig(args) -> int:
     return _subconfig_formula_cmd(args, inp)
 
 
+def _removals(inc, max_remove: int):
+    """Walk the removals of 1..max_remove lines from a full singular locus.
+
+    Subsets come size by size and, within a size, in lexicographic order:
+    the order of itertools.combinations.  For each one this yields
+    (removed, s, sum_m, pairs, hist) for the lines that remain: s points lie
+    on two or more of them, with multiplicities summing to sum_m; pairs is
+    the sum of C(m, 2) over all points; hist[m] counts the points on exactly
+    m of them (one list, updated in place between yields).  Dropping or
+    restoring a line touches only the points on it.
+    """
+    d = inc.d
+    mult = [len(members) for _, members in inc.points]
+    on_line = [[] for _ in range(d)]
+    for pid, (_, members) in enumerate(inc.points):
+        for line in members:
+            on_line[line].append(pid)
+    hist = [0] * (d + 1)
+    for m in mult:
+        hist[m] += 1
+    s, sum_m, pairs = len(mult), sum(mult), sum(m * (m - 1) // 2 for m in mult)
+    for size in range(1, max_remove + 1):
+        chosen, line = [], 0  # line: the next candidate at the current depth
+        while True:
+            if len(chosen) < size and line <= d - size + len(chosen):
+                for pid in on_line[line]:
+                    m = mult[pid]
+                    mult[pid] = m - 1
+                    hist[m] -= 1
+                    hist[m - 1] += 1
+                    pairs -= m - 1
+                    if m > 2:
+                        sum_m -= 1
+                    elif m == 2:
+                        s -= 1
+                        sum_m -= 2
+                chosen.append(line)
+                line += 1
+                if len(chosen) == size:
+                    yield tuple(chosen), s, sum_m, pairs, hist
+                continue
+            if not chosen:
+                break
+            line = chosen.pop()
+            for pid in on_line[line]:
+                m = mult[pid] + 1
+                mult[pid] = m
+                hist[m - 1] -= 1
+                hist[m] += 1
+                pairs += m - 1
+                if m > 2:
+                    sum_m += 1
+                elif m == 2:
+                    s += 1
+                    sum_m += 2
+            line += 1
+
+
 def cmd_search(args) -> int:
     inp = read_input(args.path)
     if inp.kind != "coordinates":
@@ -603,23 +661,31 @@ def cmd_search(args) -> int:
     if total > budget:
         raise SearchTooLarge(f"{total} candidate subsets exceed the budget of {budget}")
 
-    best = None  # (h, subset, spectrum)
+    # H = num / s' over the new singular locus, compared by cross-multiplying.
+    # A candidate is counted as prunable when its main lower bound already
+    # exceeds the running best; nothing is skipped.
+    best = None  # (num, s', removed)
     evaluated = no_singular = prunable = 0
-    for size in range(1, max_remove + 1):
-        for combo in itertools.combinations(range(d), size):
-            try:
-                restricted = remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR)
-            except EmptyResult:
-                no_singular += 1
+    for removed, s, sum_m, pairs, hist in _removals(inc, max_remove):
+        if s == 0:
+            no_singular += 1
+            continue
+        d_new = d - len(removed)
+        if pairs != comb(d_new, 2):
+            raise InternalInconsistency(
+                f"removing lines {list(removed)} breaks the pair-count identity")
+        evaluated += 1
+        num = d_new - sum_m
+        if best is not None:
+            num_best, s_best, removed_best = best
+            if inc.field_order is None:
+                _, b_num, b_den = main_bound_case(d_new, s, hist.__getitem__)
+                if b_num * s_best > num_best * b_den:
+                    prunable += 1
+            lhs, rhs = num * s_best, num_best * s
+            if lhs > rhs or (lhs == rhs and removed >= removed_best):
                 continue
-            sp2 = spectrum_of(restricted)
-            h2 = h_full(sp2).h
-            evaluated += 1
-            if (best is not None and sp2.field_order is None
-                    and main_lower_bound(sp2).bound_value > best[0]):
-                prunable += 1
-            if best is None or h2 < best[0] or (h2 == best[0] and combo < best[1]):
-                best = (h2, combo, sp2)
+        best = (num, s, removed)
 
     lines = [_input_line(args.path, inp),
              f"search: removal subsets of size 1..{max_remove} of {d} lines; "
@@ -631,7 +697,12 @@ def cmd_search(args) -> int:
         lines.append("no subarrangement retains a singular point")
         payload = {"best": None, "evaluated": evaluated, "budget": budget}
         return _emit(args, lines, payload)
-    h_best, combo, sp_best = best
+    num_best, s_best, combo = best
+    sp_best = spectrum_of(remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR))
+    h_best = h_full(sp_best).h
+    if h_best != Fraction(num_best, s_best):
+        raise InternalInconsistency(
+            f"incremental H of removal {list(combo)} disagrees with its rebuilt locus")
     lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
               f"H over new singular locus = {fmt_q(h_best)}",
               _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]

@@ -411,35 +411,74 @@ def is_irreducible_mod_p(field: PrimeField, coeffs) -> bool:
     return True
 
 
-def _int_divisors(n: int):
-    n = abs(n)
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
+def _pgcd(field, a, b):
+    a, b = _ptrim(field, a), _ptrim(field, b)
+    while b:
+        a, b = b, _pdivmod(field, a, b)[1]
+    return a
+
+
+def _pderiv(field, c):
+    return _ptrim(field, [field._mul(field._coerce_rep(i), ci) for i, ci in enumerate(c)][1:])
+
+
+def _int_eval(coeffs, x, modulus=None):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if modulus is not None:
+            acc %= modulus
+    return acc
 
 
 def _has_rational_root(coeffs) -> bool:
-    # clear denominators to a primitive integer polynomial
-    from math import lcm
+    """Whether a polynomial over Q (ascending coefficients) has a rational root.
 
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    if ints[0] == 0:
+    The work is polynomial in the bit size of the coefficients.  The
+    squarefree part f has the same rational roots, each simple; degree 2 is
+    decided by its discriminant.  Otherwise f, cleared to integers a_i, gives
+    the monic g(y) = a_n^(n-1) f(y/a_n), whose rational roots are the integers
+    y = a_n x with |y| <= B, the Cauchy bound.  Each root of g modulo a small
+    prime l for which g mod l is squarefree lifts uniquely (Newton/Hensel) to
+    a root modulo some l^k > 2B, and only its symmetric representative can be
+    an integer root, which is tested exactly.
+    """
+    from math import isqrt, lcm
+
+    q = RationalField()
+    f = _ptrim(q, [q._coerce_rep(c) for c in coeffs])
+    if f[0] == 0:
         return True
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return True
+    f, _ = _pdivmod(q, f, _pgcd(q, f, _pderiv(q, f)))
+    denom = lcm(*(c.denominator for c in f))
+    a = [int(c * denom) for c in f]
+    n = len(a) - 1
+    if n == 1:
+        return True
+    if n == 2:
+        disc = a[1] * a[1] - 4 * a[2] * a[0]
+        return disc >= 0 and isqrt(disc) ** 2 == disc
+    g = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
+    bound = 1 + max(abs(c) for c in g[:-1])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    ell = 2
+    while True:
+        if len(_pgcd(PrimeField(ell), [c % ell for c in g], [c % ell for c in dg])) == 1:
+            break
+        ell += 1
+        while not is_prime(ell):
+            ell += 1
+    for root in range(ell):
+        if _int_eval(g, root, ell):
+            continue
+        modulus = ell
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            root = (root - _int_eval(g, root, modulus)
+                    * pow(_int_eval(dg, root, modulus), -1, modulus)) % modulus
+        y = root if 2 * root <= modulus else root - modulus
+        if _int_eval(g, y) == 0:
+            return True
     return False
 
 

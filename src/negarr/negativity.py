@@ -232,6 +232,21 @@ def melchior_check(spec: Spectrum) -> CertificateReport:
                              slack=e, reason=reason, e_slack=e, note=note)
 
 
+def main_bound_case(d: int, s: int, count):
+    """The case and the value num/den of the main lower bound, in integers.
+
+    count(k) is the number of points on exactly k of the d lines and s the
+    number of points on two or more.  Pencil (a point on all d lines, always
+    so for d = 2): 0/1.  Quasi-pencil (a point on d-1 lines): -2 + 3/d.
+    Otherwise -4 + (2d + t_2)/s + t_3/(4s).  den is always positive.
+    """
+    if count(d) == 1:
+        return "pencil", 0, 1
+    if count(d - 1) == 1:
+        return "quasi-pencil", 3 - 2 * d, d
+    return "general", 8 * d + 4 * count(2) + count(3) - 16 * s, 4 * s
+
+
 def main_lower_bound(spec: Spectrum) -> CertificateReport:
     """Case-split lower bound for H on the full singular locus.
 
@@ -243,18 +258,11 @@ def main_lower_bound(spec: Spectrum) -> CertificateReport:
     """
     d, t, s, _, _ = _complete_counts(spec)
     h = h_full(spec).h
+    case, num, den = main_bound_case(d, s, lambda k: t.get(k, 0))
+    bound = Fraction(num, den)
     reason = None
-    if t.get(d, 0) == 1:
-        bound = Fraction(0)
-        case = "pencil"
-    elif t.get(d - 1, 0) == 1:
-        bound = Fraction(-2) + Fraction(3, d)
-        case = "quasi-pencil"
-    else:
-        bound = Fraction(-4) + Fraction(2 * d + t.get(2, 0), s) + Fraction(t.get(3, 0), 4 * s)
-        case = "general"
-        if spec.field_order is not None:
-            reason = "positive characteristic coordinates"
+    if case == "general" and spec.field_order is not None:
+        reason = "positive characteristic coordinates"
     slack = h - bound
     applicable = reason is None
     note = None

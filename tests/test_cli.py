@@ -183,6 +183,29 @@ def test_internal_inconsistency_exit_code_under_optimize(tmp_path, capsys):
     assert "internal inconsistency: incidence bookkeeping" in proc.stderr
 
 
+# Shifts H of the best subset when `search` rebuilds it, so that it disagrees
+# with the H the removal walk computed from its counters.
+_INJECT_SEARCH_DISAGREEMENT = """
+import dataclasses, sys
+import negarr.cli as cli
+real = cli.h_full
+cli.h_full = lambda sp: dataclasses.replace(real(sp), h=real(sp).h + 1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_search_inconsistency_exit_code_under_optimize(tmp_path, capsys):
+    f = tmp_path / "sq.txt"
+    _run(capsys, "generate", "kgon:4", "--format", "coords", "--out", str(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INJECT_SEARCH_DISAGREEMENT,
+                           "search", str(f), "--max-remove", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal inconsistency:")
+
+
 def test_subconfig_remove(tmp_path, capsys):
     f = tmp_path / "f3.txt"
     _run(capsys, "generate", "fermat:3", "--out", str(f))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from negarr.fields import (
     is_prime,
     parse_field,
 )
+from negarr.fields import _has_rational_root
 
 Q = RationalField()
 
@@ -252,6 +254,74 @@ def test_rational_root_screen_catches_deep_roots():
         warnings.simplefilter("error")
         f = ExtensionField(Q, [Fraction(-1, 2), 0, 0, 1])
     assert f.modulus_validated
+
+
+def _rational_root_by_divisors(coeffs):
+    """Reference: try every p/q with p | a_0 and q | a_n, by trial division."""
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * denom) for c in coeffs]
+    if ints[0] == 0:
+        return True
+
+    def divisors(n):
+        n = abs(n)
+        return [f for f in range(1, math.isqrt(n) + 1) if n % f == 0] + \
+               [n // f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    return True
+    return False
+
+
+def _random_rational_poly(rng, degree):
+    """Random coefficients, or a product of random factors of degree 1-3, some
+    squared, so that rational roots, repeated factors and fractional roots
+    are common."""
+    def coef():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 6)))
+
+    if rng.random() < 0.5:
+        return [coef() for _ in range(degree)] + [Fraction(rng.randint(1, 6), rng.randint(1, 4))]
+    poly = [Fraction(rng.randint(1, 5))]
+    while len(poly) <= degree:
+        left = degree + 1 - len(poly)
+        k = min(rng.choice((1, 1, 2, 3)), left)
+        factor = [coef() for _ in range(k)] + [Fraction(rng.randint(1, 5))]
+        if 2 * k <= left and rng.random() < 0.2:
+            factor = _poly_mul(factor, factor)
+        poly = _poly_mul(poly, factor)
+    return poly
+
+
+def test_rational_root_screen_agrees_with_divisor_test():
+    rng = random.Random(20140)
+    found = 0
+    for _ in range(500):
+        coeffs = _random_rational_poly(rng, rng.randint(2, 5))
+        if coeffs[0] == 0 and rng.random() < 0.8:
+            coeffs[0] = Fraction(rng.randint(1, 9))
+        expected = _rational_root_by_divisors(coeffs)
+        found += expected
+        assert _has_rational_root(coeffs) == expected, coeffs
+    assert 60 < found < 440  # both outcomes are well represented
+
+
+def test_rational_root_screen_large_coefficients():
+    start = time.perf_counter()
+    f = ExtensionField(Q, [1000000000000037, 0, 1])  # trial division took 5 s
+    g = ExtensionField(Q, [10 ** 17 + 3, 0, 1])  # and 47 s
+    assert time.perf_counter() - start < 1
+    assert f.modulus_validated and g.modulus_validated
+    with pytest.raises(ReducibleModulus):
+        ExtensionField(Q, [-(10 ** 8 + 7) ** 2, 0, 1])
+    # degree 4: (x - (10^12 + 39)/7)(x^3 + 2), made monic
+    root = Fraction(10 ** 12 + 39, 7)
+    with pytest.raises(ReducibleModulus):
+        ExtensionField(Q, [-2 * root, 2, 0, -root, 1])
+    assert not _has_rational_root([10 ** 30 + 57, 3, 0, 1])
 
 
 def test_tower_field_frobenius():

@@ -1,0 +1,117 @@
+"""Differential test of `negarr search` against a reference removal loop.
+
+The reference enumerates removal subsets with itertools.combinations, size by
+size, and rebuilds each candidate through remove_lines -> spectrum_of ->
+h_full, counting a candidate as prunable when main_lower_bound exceeds the
+running best.  The CLI must report the same counts and the same best subset.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import random
+import warnings
+from math import gcd
+
+import pytest
+
+from negarr.arrangement import (
+    RESTRICT_TO_NEW_SINGULAR,
+    remove_lines,
+    singular_points,
+    spectrum_of,
+)
+from negarr.cli import _json_default, main, read_input
+from negarr.errors import EmptyResult
+from negarr.negativity import h_full, main_lower_bound
+
+
+def reference_search(path, max_remove):
+    inc = singular_points(read_input(path).arrangement)
+    best = None  # (h, subset, spectrum)
+    evaluated = no_singular = prunable = 0
+    for size in range(1, max_remove + 1):
+        for combo in itertools.combinations(range(inc.d), size):
+            try:
+                restricted = remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR)
+            except EmptyResult:
+                no_singular += 1
+                continue
+            sp = spectrum_of(restricted)
+            h = h_full(sp).h
+            evaluated += 1
+            if (best is not None and sp.field_order is None
+                    and main_lower_bound(sp).bound_value > best[0]):
+                prunable += 1
+            if best is None or h < best[0] or (h == best[0] and combo < best[1]):
+                best = (h, combo, sp)
+    return evaluated, no_singular, prunable, best
+
+
+def _cli_search(path, max_remove):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["search", str(path), "--max-remove", str(max_remove), "--json"])
+    assert code in (0, 1)
+    return json.loads(out.getvalue())
+
+
+def _assert_agrees(path, max_remove):
+    evaluated, no_singular, prunable, best = reference_search(path, max_remove)
+    report = _cli_search(path, max_remove)
+    assert report["evaluated"] == evaluated
+    if best is None:
+        assert report["best"] is None
+        return
+    assert report["no_singular"] == no_singular
+    assert report["prunable"] == prunable
+    h, combo, sp = best
+    expected = json.loads(json.dumps({"h": h, "spectrum": sp}, default=_json_default))
+    assert report["best"]["removed"] == list(combo)
+    assert report["best"]["h"] == expected["h"]
+    assert report["best"]["spectrum"] == expected["spectrum"]
+
+
+CATALOG = [
+    ("generic:6", 3),       # every candidate ties with several others
+    ("pencil:5", 4),        # no singular point left, pencil bounds
+    ("quasipencil:6", 5),   # quasi-pencil bounds, d' = 2 and d' = 1
+    ("pg2:3", 3),           # GF(3)
+    ("pg2:4", 3),           # GF(4), an extension field
+    ("fermat:3", 3),        # Q(zeta_3)
+    ("kgon:4", 4),          # rational, many prunable candidates
+]
+
+
+@pytest.mark.parametrize("item,max_remove", CATALOG)
+def test_search_matches_reference_on_catalog(item, max_remove, tmp_path):
+    path = tmp_path / "arr.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", item, "--format", "coords", "--out", str(path)]) == 0
+    for r in range(1, max_remove + 1):
+        _assert_agrees(path, r)
+
+
+def _random_rational_lines(rng, count):
+    lines = set()
+    while len(lines) < count:
+        c = [rng.randint(-3, 3) for _ in range(3)]
+        g = gcd(gcd(c[0], c[1]), c[2])
+        if g == 0:
+            continue
+        c = [x // g for x in c]
+        if next(x for x in c if x) < 0:
+            c = [-x for x in c]
+        lines.add(tuple(c))
+    return "field Q\n" + "".join(f"line {a} {b} {c}\n" for a, b, c in sorted(lines))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_matches_reference_on_random_rational(seed, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "arr.txt"
+    path.write_text(_random_rational_lines(rng, rng.randint(5, 11)))
+    for r in range(1, 5):
+        _assert_agrees(path, r)
