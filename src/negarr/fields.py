@@ -405,8 +405,7 @@ def is_irreducible_mod_p(field: PrimeField, coeffs) -> bool:
         return False
     for r in range(2, n + 1):
         if n % r == 0 and is_prime(r):
-            gcd, _ = _pinv_mod(field, list((frobenius[n // r] - x).value), coeffs)
-            if len(gcd) != 1:
+            if len(_pgcd(field, list((frobenius[n // r] - x).value), coeffs)) != 1:
                 return False
     return True
 
@@ -416,10 +415,6 @@ def _pgcd(field, a, b):
     while b:
         a, b = b, _pdivmod(field, a, b)[1]
     return a
-
-
-def _pderiv(field, c):
-    return _ptrim(field, [field._mul(field._coerce_rep(i), ci) for i, ci in enumerate(c)][1:])
 
 
 def _int_eval(coeffs, x, modulus=None):
@@ -435,29 +430,23 @@ def _has_rational_root(coeffs) -> bool:
     """Whether a polynomial over Q (ascending coefficients) has a rational root.
 
     The work is polynomial in the bit size of the coefficients.  The
-    squarefree part f has the same rational roots, each simple; degree 2 is
-    decided by its discriminant.  Otherwise f, cleared to integers a_i, gives
-    the monic g(y) = a_n^(n-1) f(y/a_n), whose rational roots are the integers
-    y = a_n x with |y| <= B, the Cauchy bound.  Each root of g modulo a small
+    squarefree part f has the same rational roots, each simple.  Cleared to
+    integers a_i, f gives the monic g(y) = a_n^(n-1) f(y/a_n), whose rational
+    roots are the integers y = a_n x with |y| <= B, the Cauchy bound.  Each root of g modulo a small
     prime l for which g mod l is squarefree lifts uniquely (Newton/Hensel) to
     a root modulo some l^k > 2B, and only its symmetric representative can be
     an integer root, which is tested exactly.
     """
-    from math import isqrt, lcm
+    from math import lcm
 
     q = RationalField()
     f = _ptrim(q, [q._coerce_rep(c) for c in coeffs])
     if f[0] == 0:
         return True
-    f, _ = _pdivmod(q, f, _pgcd(q, f, _pderiv(q, f)))
+    f, _ = _pdivmod(q, f, _pgcd(q, f, [i * c for i, c in enumerate(f)][1:]))
     denom = lcm(*(c.denominator for c in f))
     a = [int(c * denom) for c in f]
     n = len(a) - 1
-    if n == 1:
-        return True
-    if n == 2:
-        disc = a[1] * a[1] - 4 * a[2] * a[0]
-        return disc >= 0 and isqrt(disc) ** 2 == disc
     g = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
     bound = 1 + max(abs(c) for c in g[:-1])
     dg = [i * c for i, c in enumerate(g)][1:]

@@ -310,10 +310,12 @@ def test_rational_root_screen_agrees_with_divisor_test():
 
 
 def test_rational_root_screen_large_coefficients():
-    start = time.perf_counter()
+    # CPU time of this process, so load from other processes does not count;
+    # the screen takes well under a millisecond per modulus
+    start = time.process_time()
     f = ExtensionField(Q, [1000000000000037, 0, 1])  # trial division took 5 s
     g = ExtensionField(Q, [10 ** 17 + 3, 0, 1])  # and 47 s
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
     assert f.modulus_validated and g.modulus_validated
     with pytest.raises(ReducibleModulus):
         ExtensionField(Q, [-(10 ** 8 + 7) ** 2, 0, 1])
