@@ -108,10 +108,9 @@ class IncidenceStructure:
     when a removal kept the original point set.
     """
 
-    __slots__ = ("line_labels", "points", "complete", "origin", "real", "field_order")
+    __slots__ = ("line_labels", "points", "complete", "real", "field_order")
 
-    def __init__(self, line_labels, points, *, complete, origin="abstract",
-                 real=False, field_order=None):
+    def __init__(self, line_labels, points, *, complete, real=False, field_order=None):
         labels = tuple(line_labels)
         if len(set(labels)) != len(labels):
             raise ValueError("line labels must be distinct")
@@ -132,7 +131,6 @@ class IncidenceStructure:
         self.line_labels = labels
         self.points = pts
         self.complete = bool(complete)
-        self.origin = origin
         self.real = bool(real)
         self.field_order = field_order
 
@@ -148,8 +146,7 @@ class IncidenceStructure:
         return [len(members) for _, members in self.points]
 
     def __repr__(self):
-        return (f"IncidenceStructure(d={self.d}, s={self.s}, "
-                f"complete={self.complete}, origin={self.origin!r})")
+        return f"IncidenceStructure(d={self.d}, s={self.s}, complete={self.complete})"
 
 
 class Spectrum:
@@ -213,10 +210,6 @@ class Spectrum:
     def sum_m_sq(self) -> int:
         return sum(k * k * v for k, v in self.t.items())
 
-    @property
-    def max_mult(self) -> int:
-        return max(self.t)
-
     def is_pencil(self) -> bool:
         return self.t.get(self.d, 0) == 1
 
@@ -261,7 +254,6 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
         range(arr.d),
         [(p, frozenset(members)) for p, members in ordered],
         complete=True,
-        origin="coordinates",
         real=arr.real,
         field_order=arr.field.order,
     )
@@ -347,7 +339,6 @@ def remove_lines(inc: IncidenceStructure, removed,
         new_labels,
         new_points,
         complete=complete,
-        origin=inc.origin,
         real=inc.real,
         field_order=inc.field_order,
     )

@@ -23,6 +23,9 @@ Points (for analyze --points FILE, with a coordinates input):
     field Q
     point 1 1 1
 
+A row of the other kind (field in a spectrum file; t, profile or order in a
+coordinates or points file) is an input error.
+
 Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
 
@@ -176,6 +179,8 @@ def parse_input(text: str) -> InputFile:
     if spec_d is not None:
         if rows:
             raise ParseError("a file holds either a spectrum or coordinates, not both")
+        if field is not None:
+            raise ParseError("a spectrum file takes no field row")
         if not t:
             raise ParseError("spectrum block has no t rows")
         sp = Spectrum(spec_d, t, real=real, complete=complete,
@@ -183,6 +188,8 @@ def parse_input(text: str) -> InputFile:
         return InputFile("spectrum", spectrum=sp, notes=notes)
     if not rows:
         raise ParseError("input holds no lines, points, or spectrum")
+    if t or profile or order is not None:
+        raise ParseError("t, profile and order rows belong in a spectrum file")
     kind = rows[0][0]
     if any(row[0] != kind for row in rows):
         raise ParseError("a file holds either line rows or point rows, not both")

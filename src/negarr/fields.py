@@ -162,12 +162,25 @@ class Field:
     """Common interface of the concrete field classes.
 
     Subclasses operate on raw canonical representations; FieldElement wraps
-    them with operator syntax.  Fields compare equal when they describe the
-    same construction, so elements created through independently built but
-    identical handles interoperate.
+    them with operator syntax.  Fields compare equal when their descriptors
+    (describe()) are equal, so elements created through independently built
+    but identical handles interoperate.  A subclass sets up whatever
+    describe() reads before calling Field.__init__.
     """
 
     characteristic: int = 0
+
+    def __init__(self):
+        self.key = self.describe()
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Field) and other.key == self.key)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return self.key
 
     def element(self, value) -> FieldElement:
         return FieldElement(self, self._coerce_rep(value))
@@ -188,8 +201,14 @@ class Field:
     def iter_elements(self):
         raise NotImplementedError("field is not finite")
 
-    # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, _is_zero,
-    # format_rep, parse_rep (its inverse), sort_key_rep, describe
+    def _is_zero(self, a):
+        return a == 0
+
+    def format_rep(self, a):
+        return str(a)
+
+    # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, parse_rep (the
+    # inverse of format_rep), sort_key_rep, describe
 
 
 class RationalField(Field):
@@ -223,12 +242,6 @@ class RationalField(Field):
             raise DivisionByZero("division by zero in Q")
         return 1 / a
 
-    def _is_zero(self, a):
-        return a == 0
-
-    def format_rep(self, a):
-        return str(a)
-
     def parse_rep(self, token):
         try:
             return Fraction(token)
@@ -241,15 +254,6 @@ class RationalField(Field):
     def describe(self):
         return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
 
 class PrimeField(Field):
     """GF(p) for prime p, represented as reduced residues."""
@@ -259,6 +263,7 @@ class PrimeField(Field):
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        super().__init__()
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
@@ -290,12 +295,6 @@ class PrimeField(Field):
             raise DivisionByZero(f"division by zero in {self}")
         return pow(a, self.p - 2, self.p)
 
-    def _is_zero(self, a):
-        return a == 0
-
-    def format_rep(self, a):
-        return str(a)
-
     def parse_rep(self, token):
         return int(token) % self.p
 
@@ -312,12 +311,6 @@ class PrimeField(Field):
     def iter_elements(self):
         for i in range(self.p):
             yield FieldElement(self, i)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -491,6 +484,7 @@ class ExtensionField(Field):
         self.modulus = coeffs
         self.degree = len(coeffs) - 1
         self.characteristic = base.characteristic
+        super().__init__()
         self.modulus_validated = True
         if assume_irreducible:
             pass
@@ -611,19 +605,6 @@ class ExtensionField(Field):
         reps = [e.value for e in self.base.iter_elements()]
         for combo in itertools.product(reps, repeat=self.degree):
             yield FieldElement(self, tuple(combo))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.base == self.base
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("EXT", self.base, self.modulus))
-
-    def __repr__(self):
-        return self.describe()
 
 
 # ---- the literal and descriptor grammar: inverses of format_rep and describe ----

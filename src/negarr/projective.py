@@ -10,87 +10,72 @@ from .errors import EqualLines, EqualPoints, FieldMismatch
 from .fields import Field
 
 
-def _canonical_triple(field: Field, triple):
-    elems = [field.element(v) for v in triple]
-    if len(elems) != 3:
-        raise ValueError("expected exactly three homogeneous coordinates")
-    pivot = next((e for e in elems if e), None)
-    if pivot is None:
-        raise ValueError("projective triple must have a nonzero coordinate")
-    return tuple(e / pivot for e in elems)
+class _Triple:
+    """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it."""
+
+    __slots__ = ("_t",)
+    _brackets = "[]"
+
+    def __init__(self, field: Field, triple):
+        elems = [field.element(v) for v in triple]
+        if len(elems) != 3:
+            raise ValueError("expected exactly three homogeneous coordinates")
+        pivot = next((e for e in elems if e), None)
+        if pivot is None:
+            raise ValueError("projective triple must have a nonzero coordinate")
+        scale = pivot.inverse()
+        self._t = tuple(e * scale for e in elems)
+
+    @property
+    def field(self) -> Field:
+        return self._t[0].field
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and other._t == self._t
+
+    def __hash__(self):
+        return hash((self._brackets, self._t))  # points and lines hash apart
+
+    def __repr__(self):
+        return self._brackets[0] + ":".join(repr(c) for c in self._t) + self._brackets[1]
+
+    def sort_key(self):
+        return tuple(c.sort_key() for c in self._t)
 
 
-class ProjPoint:
+class ProjPoint(_Triple):
     """A point of P^2, canonical homogeneous coordinates."""
 
-    __slots__ = ("coords",)
-
-    def __init__(self, field: Field, coords):
-        self.coords = _canonical_triple(field, coords)
-
-    @property
-    def field(self) -> Field:
-        return self.coords[0].field
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and other.coords == self.coords
-
-    def __hash__(self):
-        return hash(("pt", self.coords))
-
-    def __repr__(self):
-        return "[" + ":".join(repr(c) for c in self.coords) + "]"
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
+    __slots__ = ()
+    coords = _Triple._t
 
 
-class ProjLine:
+class ProjLine(_Triple):
     """A line of P^2, canonical homogeneous coefficients a, b, c for ax+by+cz = 0."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, field: Field, coeffs):
-        self.coeffs = _canonical_triple(field, coeffs)
-
-    @property
-    def field(self) -> Field:
-        return self.coeffs[0].field
-
-    def __eq__(self, other):
-        return isinstance(other, ProjLine) and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(("ln", self.coeffs))
-
-    def __repr__(self):
-        return "(" + ":".join(repr(c) for c in self.coeffs) + ")"
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coeffs)
+    __slots__ = ()
+    _brackets = "()"
+    coeffs = _Triple._t
 
 
-def _cross(u, v):
-    (a1, b1, c1), (a2, b2, c2) = u, v
-    return (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
+def _cross(u: _Triple, v: _Triple, noun: str, coincide, result):
+    """The meet of two distinct lines, or the join of two distinct points."""
+    if u.field != v.field:
+        raise FieldMismatch(f"{noun} live over {u.field} and {v.field}")
+    if u == v:
+        raise coincide(f"{noun} coincide: {u!r}")
+    (a1, b1, c1), (a2, b2, c2) = u._t, v._t
+    return result(u.field, (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
-    if l1.field != l2.field:
-        raise FieldMismatch(f"lines live over {l1.field} and {l2.field}")
-    if l1 == l2:
-        raise EqualLines(f"lines coincide: {l1!r}")
-    return ProjPoint(l1.field, _cross(l1.coeffs, l2.coeffs))
+    return _cross(l1, l2, "lines", EqualLines, ProjPoint)
 
 
 def join(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
-    if p1.field != p2.field:
-        raise FieldMismatch(f"points live over {p1.field} and {p2.field}")
-    if p1 == p2:
-        raise EqualPoints(f"points coincide: {p1!r}")
-    return ProjLine(p1.field, _cross(p1.coords, p2.coords))
+    return _cross(p1, p2, "points", EqualPoints, ProjLine)
 
 
 def incident(point: ProjPoint, line: ProjLine) -> bool:

@@ -46,6 +46,21 @@ def test_malformed_field_row_is_input_error(descriptor, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    "field Q\nline 1 0 0\nline 0 1 0\nline 1 1 1\nt 3 5\n",
+    "field Q\nline 1 0 0\nline 0 1 0\nline 1 1 1\norder 7\n",
+    "field Q\nline 1 0 0\nline 0 1 0\nline 1 1 1\nprofile 2 9\n",
+    "spectrum d=9\nt 3 12\nfield GF 5\n",
+])
+def test_rows_of_the_other_file_kind_are_input_errors(text, tmp_path, capsys):
+    f = tmp_path / "mixed.txt"
+    f.write_text(text)
+    code, out, err = _run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_parse_input_spectrum_defaults():
     inp = parse_input("spectrum d=9\nt 3 12\n")
     sp = inp.spectrum

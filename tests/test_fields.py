@@ -102,6 +102,30 @@ def test_mixed_field_arithmetic_rejected():
         b * a
 
 
+def test_distinct_constructions_are_unequal():
+    for a, b in [("Q", "GF 2"), ("GF 2", "GF 3"), ("EXT Q [1,1,1]", "EXT (GF 2) [1,1,1]"),
+                 ("EXT (GF 2) [1,1,1]", "EXT (GF 2) [1,1,0,1]")]:
+        fa, fb = parse_field(a), parse_field(b)
+        assert fa != fb
+        with pytest.raises(FieldMismatch):
+            fa.one + fb.one
+
+
+def test_independently_built_equal_fields_interoperate():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        tower = ExtensionField(gf4, [gf4.gen().value, [1], [1]])
+        parsed = parse_field(tower.describe())
+    for a, b in [(cyclotomic_field(3), ExtensionField(Q, [1, 1, 1])), (tower, parsed)]:
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        x, y = a.gen(), b.gen()
+        assert x - y == a.zero
+        assert x * y == b.gen() ** 2
+        assert (x + 1) / (y + 1) == b.one
+
+
 def test_int_and_fraction_coercion():
     assert Q.element(Fraction(1, 2)) == Fraction(1, 2)
     assert Q.element(2) + 1 == 3
@@ -394,6 +418,7 @@ def test_grammar_round_trip():
         fields = _sample_fields() + [PrimeField(101), cyclotomic_field(12), tower]
         for field in fields:
             assert parse_field(field.describe()) == field
+            assert hash(parse_field(field.describe())) == hash(field)
             for _ in range(20):
                 v = _random_element(field, rng).value
                 assert field.parse_rep(field.format_rep(v)) == v

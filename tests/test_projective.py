@@ -3,7 +3,7 @@ import random
 import pytest
 
 from negarr.errors import EqualLines, EqualPoints, FieldMismatch
-from negarr.fields import PrimeField, RationalField
+from negarr.fields import ExtensionField, PrimeField, RationalField, cyclotomic_field
 from negarr.projective import ProjLine, ProjPoint, incident, join, meet
 
 Q = RationalField()
@@ -39,18 +39,47 @@ def test_point_and_line_hash_disjoint():
 
 def test_equal_lines_and_points_raise():
     l = ProjLine(Q, (1, 2, 3))
-    with pytest.raises(EqualLines):
+    with pytest.raises(EqualLines, match=r"^lines coincide: \(1:2:3\)$"):
         meet(l, ProjLine(Q, (2, 4, 6)))
     p = ProjPoint(Q, (1, 1, 1))
-    with pytest.raises(EqualPoints):
+    with pytest.raises(EqualPoints, match=r"^points coincide: \[1:1:1\]$"):
         join(p, ProjPoint(Q, (-1, -1, -1)))
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch, match=r"^lines live over Q and GF\(3\)$"):
         meet(ProjLine(Q, (1, 0, 0)), ProjLine(PrimeField(3), (0, 1, 0)))
+    with pytest.raises(FieldMismatch, match=r"^points live over GF\(3\) and Q$"):
+        join(ProjPoint(PrimeField(3), (1, 0, 0)), ProjPoint(Q, (0, 1, 0)))
     with pytest.raises(FieldMismatch):
         incident(ProjPoint(Q, (1, 0, 0)), ProjLine(PrimeField(3), (0, 1, 0)))
+
+
+def test_repr_brackets():
+    assert repr(ProjPoint(Q, (2, 4, 6))) == "[1:2:3]"
+    assert repr(ProjLine(Q, (0, -2, 1))) == "(0:1:-1/2)"
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    assert repr(ProjPoint(gf4, (0, 1, gf4.gen()))) == "[[0,0]:[1,0]:[0,1]]"
+    assert repr(ProjLine(PrimeField(7), (3, 1, 0))) == "(1:5:0)"
+
+
+def test_meet_computes_one_inverse(monkeypatch):
+    calls = []
+    inv = ExtensionField._inv
+
+    def counting_inv(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    for field in (ExtensionField(PrimeField(2), [1, 1, 1]), cyclotomic_field(3)):
+        w = field.gen()
+        l1, l2 = ProjLine(field, (1, w, 0)), ProjLine(field, (0, 1, w))
+        calls.clear()
+        monkeypatch.setattr(ExtensionField, "_inv", counting_inv)
+        p = meet(l1, l2)  # (w^2 : -w : 1), so the pivot w^2 is not 1
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert p.coords[0] == field.one and incident(p, l1) and incident(p, l2)
 
 
 def test_gf2_meet():
