@@ -29,6 +29,7 @@ from .fields import (
     RationalField,
     cyclotomic_field,
     is_irreducible_mod_p,
+    prime_power,
 )
 from .projective import ProjLine
 
@@ -93,24 +94,6 @@ def gen_fermat(n: int) -> CoordArrangement:
     return CoordArrangement(lines, real=False)
 
 
-def _prime_power(q: int):
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return (q, 1)
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    return (p, k) if rest == 1 else None
-
-
 def _first_irreducible(p: int, k: int):
     field = PrimeField(p)
     for tail in itertools.product(range(p), repeat=k):
@@ -122,7 +105,7 @@ def _first_irreducible(p: int, k: int):
 
 def gen_finite_field_full(q: int) -> CoordArrangement:
     """All q^2 + q + 1 lines of the projective plane over the q-element field."""
-    pk = _prime_power(q)
+    pk = prime_power(q)
     if pk is None:
         raise NotPrimePower(f"{q} is not a prime power")
     p, k = pk
@@ -229,7 +212,7 @@ def _h_fermat(n):
 
 
 def _h_pg2(q):
-    if _prime_power(q) is None:
+    if prime_power(q) is None:
         raise NotPrimePower(f"{q} is not a prime power")
     return Fraction(-q)
 

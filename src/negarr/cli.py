@@ -16,7 +16,7 @@ Spectrum:
     t 3 120                     one row per multiplicity
     profile 3 8                 optional per-line profile rows
     flags real complete         when omitted: not real, complete
-    order 9                     coordinate field size, when finite
+    order 9                     coordinate field size (a prime power), when finite
     note free text              optional, repeatable
 
 Points (for analyze --points FILE, with a coordinates input):
@@ -72,24 +72,19 @@ from .errors import (
     RemovingAll,
     SearchTooLarge,
 )
-from .fields import Field, FieldElement, RationalField, parse_field
+from .fields import Field, FieldElement, RationalField, parse_field, prime_power
 from .negativity import (
-    REAL_LOWER_BOUND,
     CertificateReport,
     HReport,
     MeanComparison,
-    finite_field_bound,
+    certificates_for,
     h_at_points,
     h_curve,
     h_full,
     h_quadratic,
-    hirzebruch_check,
     main_bound_case,
-    main_lower_bound,
     mean_multiplicity_bound,
-    melchior_check,
     pair_removal_from_profile,
-    real_identity_and_bound,
     subconfig_formula,
 )
 from .projective import ProjLine, ProjPoint
@@ -174,6 +169,8 @@ def parse_input(text: str) -> InputFile:
             if len(tokens) != 2:
                 raise ParseError(f"expected 'order Q', got {line!r}")
             order = _int_of(tokens[1], "field order")
+            if prime_power(order) is None:
+                raise ParseError(f"field order {order} is not a prime power")
         else:
             raise ParseError(f"unknown directive {key!r}")
     if spec_d is not None:
@@ -199,9 +196,8 @@ def parse_input(text: str) -> InputFile:
     if kind == "point":
         return InputFile("points", points=PointSet([ProjPoint(field, c) for c in triples]),
                          notes=notes)
-    arr_real = True if isinstance(field, RationalField) else real
     lines = [ProjLine(field, c) for c in triples]
-    return InputFile("coordinates", arrangement=CoordArrangement(lines, real=arr_real),
+    return InputFile("coordinates", arrangement=CoordArrangement(lines, real=real),
                      notes=notes)
 
 
@@ -317,20 +313,6 @@ def _locus(inp: InputFile):
         return inc, spectrum_of(inc), equidistribution(inc)
     sp = inp.spectrum
     return None, sp, sum(sp.profile.values()) if sp.profile else None
-
-
-def certificates_for(sp: Spectrum):
-    """The applicable certificate battery for one complete spectrum."""
-    certs = [hirzebruch_check(sp), melchior_check(sp), main_lower_bound(sp)]
-    if sp.real and not sp.is_pencil() and not certs[1].holds:
-        certs.append(CertificateReport(kind=REAL_LOWER_BOUND, applicable=False,
-                                       holds=False, slack=Fraction(0),
-                                       reason="Melchior inequality violated"))
-    else:
-        certs.append(real_identity_and_bound(sp))
-    if sp.field_order is not None:
-        certs.append(finite_field_bound(sp, sp.field_order))
-    return certs
 
 
 def _certificates(lines: list, payload: dict, certs, heading: str) -> int:
@@ -465,8 +447,6 @@ def _parse_indices(text: str, d: int):
     for i in indices:
         if not 0 <= i < d:
             raise ParseError(f"line index {i} out of range 0..{d - 1}")
-    if not indices:
-        raise ParseError("no indices given")
     return indices
 
 
@@ -656,7 +636,6 @@ def cmd_search(args) -> int:
     if inp.kind != "coordinates":
         raise NoIncidenceData("search needs coordinates, not a bare spectrum")
     arr = inp.arrangement
-    inc = singular_points(arr)
     d = arr.d
     max_remove = min(args.max_remove, d - 1)
     if max_remove < 1:
@@ -667,6 +646,7 @@ def cmd_search(args) -> int:
     total = sum(comb(d, j) for j in range(1, max_remove + 1))
     if total > budget:
         raise SearchTooLarge(f"{total} candidate subsets exceed the budget of {budget}")
+    inc = singular_points(arr)
 
     # H = num / s' over the new singular locus, compared by cross-multiplying.
     # A candidate is counted as prunable when its main lower bound already
@@ -696,7 +676,7 @@ def cmd_search(args) -> int:
 
     lines = [_input_line(args.path, inp),
              f"search: removal subsets of size 1..{max_remove} of {d} lines; "
-             f"objective {args.objective}",
+             "objective min-h",
              f"candidates: {total} within budget {budget}; evaluated {evaluated}, "
              f"without singular points {no_singular}, "
              f"prunable by lower bound {prunable}"]
@@ -713,7 +693,7 @@ def cmd_search(args) -> int:
     lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
               f"H over new singular locus = {fmt_q(h_best)}",
               _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]
-    payload = {"objective": args.objective, "max_remove": max_remove, "budget": budget,
+    payload = {"objective": "min-h", "max_remove": max_remove, "budget": budget,
                "candidates": total, "evaluated": evaluated, "no_singular": no_singular,
                "prunable": prunable,
                "best": {"removed": list(combo), "d_new": d - len(combo),
@@ -759,7 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("search", help="minimize H over removal subsets")
     r.add_argument("path")
     r.add_argument("--max-remove", type=int, default=3, metavar="R")
-    r.add_argument("--objective", choices=("min-h",), default="min-h")
     r.add_argument("--budget", type=int, default=None,
                    help=f"candidate limit (default {DEFAULT_BUDGET} or NEGARR_BUDGET)")
     r.add_argument("--json", action="store_true")

@@ -96,10 +96,6 @@ class IncompleteLocus(NegarrError):
     pass
 
 
-class MelchiorViolated(NegarrError):
-    pass
-
-
 class InvalidSubsize(NegarrError):
     pass
 

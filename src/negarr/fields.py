@@ -52,6 +52,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(q: int):
+    """(p, k) with q = p^k and p prime, or None when q is not a prime power.
+
+    While q is a perfect e-th power for a prime e (primes in increasing
+    order; a composite e adds nothing), q is replaced by its e-th root.  The
+    rest is tested by is_prime, whose ValueError marks a rest too large.
+    """
+    if q < 2:
+        return None
+    k, e = 1, 2
+    while e <= q.bit_length():
+        r = 0  # floor of the e-th root of q, built bit by bit
+        for b in range(q.bit_length() // e, -1, -1):
+            if (r | 1 << b) ** e <= q:
+                r |= 1 << b
+        if r ** e == q:
+            q, k = r, k * e
+        else:
+            e = next(f for f in itertools.count(e + 1) if is_prime(f))
+    return (q, k) if is_prime(q) else None
+
+
 class FieldElement:
     """A value of some Field, stored in canonical form.
 

@@ -28,7 +28,6 @@ from .errors import (
     IncompleteLocus,
     InternalInconsistency,
     InvalidSubsize,
-    MelchiorViolated,
     NoIncidenceData,
 )
 from .fields import compare_with_surd_mean
@@ -106,19 +105,14 @@ def _report(d, s, sum_m, sum_m_sq, formula) -> HReport:
                    mbar=Fraction(sum_m, s), formula=formula)
 
 
-def _complete_counts(x):
-    """(d, t, s, sum_m, sum_m_sq) of a complete structure or spectrum."""
-    if isinstance(x, Spectrum):
-        if not x.complete:
-            raise IncompleteLocus("spectrum is not flagged complete")
-        return x.d, dict(x.t), x.s, x.sum_m, x.sum_m_sq
-    if isinstance(x, IncidenceStructure):
-        if not x.complete:
-            raise IncompleteLocus("incidence structure is not the full singular locus")
-        mults = x.multiplicities()
-        t = dict(Counter(mults))
-        return x.d, t, len(mults), sum(mults), sum(m * m for m in mults)
-    raise TypeError(f"expected Spectrum or IncidenceStructure, got {type(x).__name__}")
+def _quadratic(d, mults) -> HReport:
+    """Quadratic-form H of d lines over points of the given multiplicities."""
+    return _report(d, len(mults), sum(mults), sum(m * m for m in mults), FORMULA_GENERAL)
+
+
+def _require_complete(spec: Spectrum) -> None:
+    if not spec.complete:
+        raise IncompleteLocus("spectrum is not flagged complete")
 
 
 def h_at_points(arr: CoordArrangement, points) -> HReport:
@@ -127,9 +121,7 @@ def h_at_points(arr: CoordArrangement, points) -> HReport:
     Multiplicities 0 and 1 are allowed; they simply contribute to s.
     """
     pts = points if isinstance(points, PointSet) else PointSet(points)
-    mults = [multiplicity(arr, p) for p in pts]
-    return _report(arr.d, len(mults), sum(mults), sum(m * m for m in mults),
-                   FORMULA_GENERAL)
+    return _quadratic(arr.d, [multiplicity(arr, p) for p in pts])
 
 
 def h_quadratic(inc: IncidenceStructure) -> HReport:
@@ -138,16 +130,14 @@ def h_quadratic(inc: IncidenceStructure) -> HReport:
     Intended for the keep-original-points result of a removal, where the
     structure is deliberately not the full singular locus.
     """
-    mults = inc.multiplicities()
-    return _report(inc.d, len(mults), sum(mults), sum(m * m for m in mults),
-                   FORMULA_GENERAL)
+    return _quadratic(inc.d, inc.multiplicities())
 
 
 def h_full(x) -> HReport:
     """Linear-form H over the full singular locus, cross-checked quadratically."""
-    d, _, s, sum_m, sum_m_sq = _complete_counts(x)
-    rep = _report(d, s, sum_m, sum_m_sq, FORMULA_FULL)
-    if rep.h != Fraction(d * d - sum_m_sq, s):
+    _require_complete(x)
+    rep = _report(x.d, x.s, x.sum_m, x.sum_m_sq, FORMULA_FULL)
+    if rep.h != Fraction(x.d * x.d - rep.sum_m_sq, rep.s):
         raise InternalInconsistency("linear and quadratic forms disagree")
     return rep
 
@@ -155,9 +145,7 @@ def h_full(x) -> HReport:
 def h_curve(x) -> HCurveReport:
     """h_full plus the flag recording whether the curve infimum h <= -1 is met."""
     rep = h_full(x)
-    return HCurveReport(h=rep.h, d=rep.d, s=rep.s, sum_m=rep.sum_m,
-                        sum_m_sq=rep.sum_m_sq, mbar=rep.mbar, formula=rep.formula,
-                        infimum_attained=rep.h <= -1)
+    return HCurveReport(**vars(rep), infimum_attained=rep.h <= -1)
 
 
 def h_fattened(x, k: int) -> Fraction:
@@ -171,8 +159,18 @@ def h_fattened(x, k: int) -> Fraction:
     return k * k * h_full(x).h
 
 
-def _melchior_excess(d, t):
+def _melchior_excess(t) -> int:
     return t.get(2, 0) - 3 - sum((k - 3) * v for k, v in t.items() if k > 3)
+
+
+def _not_real_nonpencil(spec: Spectrum):
+    """Why a certificate for real arrangements that are not pencils does not
+    apply to spec, or None when it does."""
+    if not spec.real:
+        return "spectrum not flagged real"
+    if spec.is_pencil():
+        return "concurrent lines (pencil)"
+    return None
 
 
 def hirzebruch_check(spec: Spectrum) -> CertificateReport:
@@ -183,24 +181,23 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
     positive characteristic.  A violation by an abstract spectrum certifies
     that no complex line arrangement realizes it.
     """
-    d, t, s, _, _ = _complete_counts(spec)
+    _require_complete(spec)
+    d, t = spec.d, spec.t
     lhs = t.get(2, 0) + Fraction(3, 4) * t.get(3, 0)
     rhs = d + sum((k - 4) * v for k, v in t.items() if k >= 5)
     slack = lhs - rhs
-    reason = None
-    if t.get(d, 0):
+    reason = note = None
+    if spec.is_pencil():
         reason = "a point lies on every line (pencil)"
     elif t.get(d - 1, 0):
         reason = "a point lies on all lines but one (quasi-pencil)"
     elif d < 4:
         reason = "fewer than four lines"
-    elif spec.field_order is not None:
-        reason = "positive characteristic coordinates"
-    applicable = reason is None
-    note = None
-    if slack < 0 and not t.get(d, 0) and not t.get(d - 1, 0) and d >= 4:
+    elif slack < 0:
         note = "violates the Hirzebruch inequality: not realizable as a complex line arrangement"
-    return CertificateReport(kind=HIRZEBRUCH, applicable=applicable,
+    if reason is None and spec.field_order is not None:
+        reason = "positive characteristic coordinates"
+    return CertificateReport(kind=HIRZEBRUCH, applicable=reason is None,
                              holds=slack >= 0, slack=slack, reason=reason, note=note)
 
 
@@ -211,19 +208,13 @@ def melchior_check(spec: Spectrum) -> CertificateReport:
     when the certificate is inapplicable; a negative excess on a non-pencil
     spectrum certifies that no real line arrangement realizes it.
     """
-    d, t, s, _, _ = _complete_counts(spec)
-    e = Fraction(_melchior_excess(d, t))
-    pencil = t.get(d, 0) == 1
-    reason = None
-    if not spec.real:
-        reason = "spectrum not flagged real"
-    elif pencil:
-        reason = "concurrent lines (pencil)"
-    applicable = reason is None
+    _require_complete(spec)
+    e = Fraction(_melchior_excess(spec.t))
+    reason = _not_real_nonpencil(spec)
     note = None
-    if e < 0 and not pencil:
+    if e < 0 and not spec.is_pencil():
         note = "violates the Melchior inequality: not realizable as a real line arrangement"
-    return CertificateReport(kind=MELCHIOR, applicable=applicable, holds=e >= 0,
+    return CertificateReport(kind=MELCHIOR, applicable=reason is None, holds=e >= 0,
                              slack=e, reason=reason, e_slack=e, note=note)
 
 
@@ -251,19 +242,16 @@ def main_lower_bound(spec: Spectrum) -> CertificateReport:
     only in characteristic 0; the two degenerate cases are combinatorial and
     hold over any field.
     """
-    d, t, s, _, _ = _complete_counts(spec)
     h = h_full(spec).h
-    case, num, den = main_bound_case(d, s, lambda k: t.get(k, 0))
+    case, num, den = main_bound_case(spec.d, spec.s, lambda k: spec.t.get(k, 0))
     bound = Fraction(num, den)
-    reason = None
+    slack = h - bound
+    reason = note = None
     if case == "general" and spec.field_order is not None:
         reason = "positive characteristic coordinates"
-    slack = h - bound
-    applicable = reason is None
-    note = None
-    if slack < 0 and case == "general" and spec.field_order is None:
+    elif case == "general" and slack < 0:
         note = "below the complex lower bound: not realizable as a complex line arrangement"
-    return CertificateReport(kind=MAIN_LOWER_BOUND, applicable=applicable,
+    return CertificateReport(kind=MAIN_LOWER_BOUND, applicable=reason is None,
                              holds=slack >= 0, slack=slack, reason=reason,
                              bound_value=bound, note=note)
 
@@ -276,30 +264,24 @@ def real_identity_and_bound(spec: Spectrum) -> CertificateReport:
         h = d/s - 3 + (e+3)/(e+3+S')
 
     holds, so h exceeds the never-attained bound -3 + (e+3)/(e+3+S') by
-    exactly d/s > 0.  Requires the Melchior inequality to hold.
+    exactly d/s > 0.  It needs e >= 0, the Melchior inequality; a spectrum
+    that violates it gets an inapplicable report.
     """
-    d, t, s, _, _ = _complete_counts(spec)
-    pencil = t.get(d, 0) == 1
-    reason = None
-    if not spec.real:
-        reason = "spectrum not flagged real"
-    elif pencil:
-        reason = "concurrent lines (pencil)"
+    _require_complete(spec)
+    e = _melchior_excess(spec.t)
+    reason = _not_real_nonpencil(spec)
+    if reason is None and e < 0:
+        reason = "Melchior inequality violated"
     if reason is not None:
         return CertificateReport(kind=REAL_LOWER_BOUND, applicable=False,
                                  holds=False, slack=Fraction(0), reason=reason)
-    e = _melchior_excess(d, t)
-    if e < 0:
-        raise MelchiorViolated(f"Melchior excess e = {e} is negative")
-    sprime = sum((k - 2) * v for k, v in t.items() if k >= 3)
+    sprime = sum((k - 2) * v for k, v in spec.t.items() if k >= 3)
     h = h_full(spec).h
     bound = Fraction(-3) + Fraction(e + 3, e + 3 + sprime)
-    identity_rhs = Fraction(d, s) + bound
-    if h != identity_rhs:
+    if h != Fraction(spec.d, spec.s) + bound:
         raise InternalInconsistency("real identity failed")
-    slack = h - bound
     return CertificateReport(kind=REAL_LOWER_BOUND, applicable=True,
-                             holds=slack >= 0, slack=slack,
+                             holds=h >= bound, slack=h - bound,
                              bound_value=bound, e_slack=Fraction(e),
                              note="identity h = d/s - 3 + (e+3)/(e+3+S') verified")
 
@@ -312,15 +294,23 @@ def finite_field_bound(spec: Spectrum, q: int) -> CertificateReport:
     """
     if not isinstance(q, int) or q < 2:
         raise ValueError("field order must be an integer >= 2")
-    d, _, s, _, _ = _complete_counts(spec)
     h = h_full(spec).h
     bound = Fraction(-q - 1)
-    slack = h - bound
     note = None
-    if s == d == q * q + q + 1 and h == -q:
+    if spec.s == spec.d == q * q + q + 1 and h == -q:
         note = f"full point-line incidence over the {q}-element field: h = -q"
-    return CertificateReport(kind=INDEX_BOUND, applicable=True, holds=slack >= 0,
-                             slack=slack, bound_value=bound, note=note)
+    return CertificateReport(kind=INDEX_BOUND, applicable=True, holds=h >= bound,
+                             slack=h - bound, bound_value=bound, note=note)
+
+
+def certificates_for(spec: Spectrum) -> list:
+    """The certificate battery for one complete spectrum: Hirzebruch, Melchior,
+    the main and the real lower bound, and the index bound over a finite field."""
+    certs = [hirzebruch_check(spec), melchior_check(spec), main_lower_bound(spec),
+             real_identity_and_bound(spec)]
+    if spec.field_order is not None:
+        certs.append(finite_field_bound(spec, spec.field_order))
+    return certs
 
 
 def mean_multiplicity_bound(x) -> MeanComparison:
@@ -330,9 +320,9 @@ def mean_multiplicity_bound(x) -> MeanComparison:
     coincide; equivalently h_full = d/s - mbar >= d/s - m.  chain_holds
     records the rearranged inequality.
     """
-    d, t, s, sum_m, sum_m_sq = _complete_counts(x)
-    mbar = Fraction(sum_m, s)
-    c = Fraction(sum_m_sq - sum_m, s)
+    _require_complete(x)
+    mbar = Fraction(x.sum_m, x.s)
+    c = Fraction(x.sum_m_sq - x.sum_m, x.s)
     ordering = compare_with_surd_mean(mbar, c)
     return MeanComparison(mbar=mbar, c=c, ordering=ordering, chain_holds=ordering <= 0)
 
@@ -361,16 +351,15 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     m = meeting_multiplicity
     if spec.profile is None:
         raise NoIncidenceData("spectrum carries no per-line profile")
-    if not spec.complete:
-        raise IncompleteLocus("spectrum is not flagged complete")
+    _require_complete(spec)
     if m not in spec.t:
         raise BadMultiplicity(f"no point of multiplicity {m} in the spectrum")
     if spec.d < 3:
         raise InvalidSubsize("need at least three lines to remove two")
     new_counts: Counter = Counter()
     for k, tk in spec.t.items():
-        on_removed = 2 * (spec.profile.get(k, 0) - (1 if k == m else 0))
-        meeting = 1 if k == m else 0
+        meeting = int(k == m)
+        on_removed = 2 * (spec.profile.get(k, 0) - meeting)
         if on_removed < 0 or on_removed + meeting > tk:
             raise BadMultiplicity(
                 f"profile places more multiplicity-{k} points on the pair than exist")
@@ -378,15 +367,11 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
         new_counts[k - 1] += on_removed
     new_counts[m - 2] += 1
     d_new = spec.d - 2
-    s_orig = spec.s
-    sum_m = sum(k * v for k, v in new_counts.items())
-    sum_sq = sum(k * k * v for k, v in new_counts.items())
-    over_original = _report(d_new, s_orig, sum_m, sum_sq, FORMULA_GENERAL)
     new_t = {k: v for k, v in new_counts.items() if k >= 2 and v > 0}
     new_spectrum = Spectrum(d_new, new_t, real=spec.real, complete=True,
                             field_order=spec.field_order)
     return PairRemovalReport(meeting_multiplicity=m,
-                             over_original=over_original,
+                             over_original=_quadratic(d_new, list(new_counts.elements())),
                              over_new=h_full(new_spectrum),
                              new_spectrum=new_spectrum)
 

@@ -317,6 +317,59 @@ def test_search_budget(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_search_rejects_before_building_the_locus(tmp_path, capsys, monkeypatch):
+    # --max-remove and the budget depend only on d, so they are checked first
+    def no_locus(arr):
+        raise AssertionError("singular locus built before the budget check")
+
+    monkeypatch.setattr("negarr.cli.singular_points", no_locus)
+    f = tmp_path / "p2.txt"
+    _run(capsys, "generate", "pg2:2", "--out", str(f))
+    code, out, err = _run(capsys, "search", str(f), "--max-remove", "4", "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: 98 candidate subsets exceed the budget of 10\n"
+    one = tmp_path / "one.txt"
+    one.write_text("field Q\nline 1 0 0\n")
+    code, out, err = _run(capsys, "search", str(one))
+    assert (code, out, err) == (2, "", "error: nothing to remove\n")
+
+
+_TRI = "field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\n"
+_SPEC = "spectrum d=9\nt 3 12\n"
+
+
+_INPUT_ERRORS = {
+    "spectrum-shape": ("spectrum 9\nt 3 12\n", ()),
+    "t-arity": ("spectrum d=9\nt 3\n", ()),
+    "profile-arity": (_SPEC + "profile 3\n", ()),
+    "order-arity": (_SPEC + "order 9 9\n", ()),
+    "order-not-prime-power": (_SPEC + "order 6\n", ()),
+    "unknown-flag": (_SPEC + "flags real sorted\n", ()),
+    "spectrum-and-lines": (_SPEC + "line 1 0 0\n", ()),
+    "no-t-rows": ("spectrum d=9\nflags complete\n", ()),
+    "empty-input": ("# nothing here\n", ()),
+    "lines-and-points": ("field Q\nline 1 0 0\npoint 0 1 0\n", ()),
+    "no-field-row": ("line 1 0 0\nline 0 1 0\n", ()),
+    "two-entry-row": ("field Q\nline 1 0\nline 0 1 0\n", ()),
+    "catalog-parameter": (None, ("generate", "fermat:three")),
+    "remove-list": (_TRI, ("subconfig", "{f}", "--remove", "0,x")),
+    "remove-list-empty": (_TRI, ("subconfig", "{f}", "--remove", "")),
+    "formula-arity": (_TRI, ("subconfig", "{f}", "--formula", "2,1,1")),
+}
+
+
+@pytest.mark.parametrize("text, argv", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
+def test_input_errors_through_main(text, argv, tmp_path, capsys):
+    f = tmp_path / "in.txt"
+    if text is not None:
+        f.write_text(text)
+    argv = [a.format(f=f) for a in argv] or ["analyze", str(f)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, "analyze", "/nonexistent/path.txt")
     assert code == 2

@@ -28,6 +28,7 @@ from negarr.fields import (
     is_irreducible_mod_p,
     is_prime,
     parse_field,
+    prime_power,
 )
 from negarr.fields import _has_rational_root
 
@@ -160,6 +161,37 @@ def test_is_prime_large_inputs():
     assert is_prime(10 ** 15 + 37)
     with pytest.raises(ValueError, match="3317044064679887385961981"):
         is_prime(10 ** 30 + 57)
+
+
+def _prime_power_by_trial_division(q):
+    if q < 2:
+        return None
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def test_prime_power_agrees_with_trial_division():
+    assert [prime_power(q) for q in range(-3, 5000)] == \
+        [_prime_power_by_trial_division(q) for q in range(-3, 5000)]
+
+
+def test_prime_power_large_inputs():
+    start = time.process_time()
+    assert prime_power(10 ** 14) is None
+    assert prime_power(10 ** 15 + 37) == (10 ** 15 + 37, 1)
+    assert prime_power((2 ** 31 - 1) ** 3) == (2 ** 31 - 1, 3)
+    assert prime_power(3 ** 40) == (3, 40)
+    assert prime_power(6 ** 20) is None
+    assert prime_power(2 ** 200) == (2, 200)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        prime_power(10 ** 30 + 57)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        prime_power(10 ** 1000 + 1)  # no perfect power: the test bound decides
+    assert time.process_time() - start < 1
 
 
 def _moebius(n):

@@ -25,11 +25,11 @@ from negarr.errors import (
     BadMultiplicity,
     IncompleteLocus,
     InvalidSubsize,
-    MelchiorViolated,
     NoIncidenceData,
 )
 from negarr.fields import EQUAL, LESS, RationalField
 from negarr.negativity import (
+    certificates_for,
     finite_field_bound,
     h_at_points,
     h_curve,
@@ -209,8 +209,21 @@ def test_real_identity_requires_real_nonpencil():
     pencil = spectrum_of(singular_points(gen_pencil(7)))
     assert not real_identity_and_bound(pencil).applicable
     ghost = abstract_spectrum(9, {3: 12}, real=True)
-    with pytest.raises(MelchiorViolated):
-        real_identity_and_bound(ghost)
+    rep = real_identity_and_bound(ghost)
+    assert not rep.applicable and not rep.holds
+    assert rep.reason == "Melchior inequality violated"
+
+
+def test_certificate_battery():
+    import negarr.cli
+
+    assert negarr.cli.certificates_for is certificates_for
+    kinds = ["hirzebruch", "melchior", "main_lower_bound", "real_lower_bound"]
+    assert [c.kind for c in certificates_for(WIMAN)] == kinds
+    fano = spectrum_of(singular_points(catalog_entry("pg2").build(2)))
+    assert [c.kind for c in certificates_for(fano)] == kinds + ["index_bound"]
+    ghost = abstract_spectrum(9, {3: 12}, real=True)
+    assert certificates_for(ghost)[3] == real_identity_and_bound(ghost)
 
 
 def test_mean_multiplicity_bound():
