@@ -238,17 +238,30 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     """All points where at least two lines of the arrangement meet.
 
     Deduplication is exact via canonical coordinates; member sets accumulate
-    from the pairwise meets, so a point's multiplicity is the number of lines
-    through it.  A pencil yields a single point of multiplicity d.
+    from the meets, so a point's multiplicity is the number of lines through
+    it.  A pencil yields a single point of multiplicity d.
+
+    Line i meets only the later lines that no point already found on it
+    holds: a point of multiplicity m is met m - 1 times, from its first
+    line, and its member set is complete before any later line is walked.
     """
     if arr.d < 2:
         raise SingleLine("need at least two lines to intersect")
     acc: dict[ProjPoint, set[int]] = {}
     lines = arr.lines
-    for i in range(len(lines)):
+    found_on = [[] for _ in lines]  # member sets of the points found on each line
+    for i, line in enumerate(lines):
+        covered = set().union(*found_on[i])
         for j in range(i + 1, len(lines)):
-            p = meet(lines[i], lines[j])
-            acc.setdefault(p, set()).update((i, j))
+            if j in covered:
+                continue
+            p = meet(line, lines[j])
+            members = acc.get(p)
+            if members is None:
+                members = acc[p] = {i}
+                found_on[i].append(members)
+            members.add(j)
+            found_on[j].append(members)
     ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
     return IncidenceStructure(
         range(arr.d),

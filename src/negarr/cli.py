@@ -24,7 +24,8 @@ Points (for analyze --points FILE, with a coordinates input):
     point 1 1 1
 
 A row of the other kind (field in a spectrum file; t, profile or order in a
-coordinates or points file) is an input error.
+coordinates or points file) is an input error, and so is a second flags row:
+the one flags row lists every flag.
 
 Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
@@ -134,7 +135,7 @@ def parse_input(text: str) -> InputFile:
     rows, notes = [], []  # rows: the tokens of each line and point row
     spec_d = None
     t, profile = {}, {}
-    real, complete, order = False, True, None
+    real, complete, order, flagged = False, True, None, False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,6 +161,9 @@ def parse_input(text: str) -> InputFile:
                 raise ParseError(f"expected 'profile K COUNT', got {line!r}")
             profile[_int_of(tokens[1], "multiplicity")] = _int_of(tokens[2], "count")
         elif key == "flags":
+            if flagged:
+                raise ParseError("a file takes one flags row, listing every flag")
+            flagged = True
             real = "real" in tokens[1:]
             complete = "complete" in tokens[1:]
             for tok in tokens[1:]:

@@ -11,6 +11,7 @@ import itertools
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     DivisionByZero,
@@ -36,14 +37,15 @@ _MR_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test over _MR_BASES.
 
-    Raises ValueError for n >= _MR_BOUND, where these bases are not known to
-    suffice.
+    A division by the bases comes first, so an n with a small factor is
+    answered at any size.  Otherwise raises ValueError for n >= _MR_BOUND,
+    where these bases are not known to suffice.
     """
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
     if n >= _MR_BOUND:
         raise ValueError(f"cannot decide whether {n} is prime: the primality test "
                          f"is proven only below {_MR_BOUND}")
-    if n < 2 or any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -226,11 +228,40 @@ class Field:
     def _is_zero(self, a):
         return a == 0
 
+    def _canonical(self, reps):
+        """A triple of reps scaled so that its leftmost nonzero entry is one."""
+        for i, r in enumerate(reps):
+            if not self._is_zero(r):
+                scale = self._inv(r)
+                return reps[:i] + tuple(self._mul(x, scale) for x in reps[i:])
+        raise ValueError("projective triple must have a nonzero coordinate")
+
+    def _cross(self, u, v):
+        """The canonical reps of the cross product of two non-proportional
+        triples of reps: the meet of two lines, or the join of two points."""
+        (a1, b1, c1), (a2, b2, c2) = u, v
+        mul, sub = self._mul, self._sub
+        return self._canonical((sub(mul(b1, c2), mul(b2, c1)),
+                                sub(mul(c1, a2), mul(c2, a1)),
+                                sub(mul(a1, b2), mul(a2, b1))))
+
     def format_rep(self, a):
         return str(a)
 
     # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, parse_rep (the
     # inverse of format_rep), sort_key_rep, describe
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _integral(t):
+    """Integers in the ratio of a triple of Fractions: each times the lcm of
+    the denominators."""
+    a, b, c = t
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
+            c.numerator * (m // c.denominator))
 
 
 class RationalField(Field):
@@ -263,6 +294,18 @@ class RationalField(Field):
         if a == 0:
             raise DivisionByZero("division by zero in Q")
         return 1 / a
+
+    def _cross(self, u, v):
+        # Each triple is scaled to integers, so the products are ints and
+        # only the two quotients of the result are Fractions.  u and v are
+        # not proportional, so x, y and z are not all zero.
+        (a1, b1, c1), (a2, b2, c2) = _integral(u), _integral(v)
+        x, y, z = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
+        if x:
+            return (_ONE, Fraction(y, x), Fraction(z, x))
+        if y:
+            return (_ZERO, _ONE, Fraction(z, y))
+        return (_ZERO, _ZERO, _ONE)
 
     def parse_rep(self, token):
         try:
@@ -452,8 +495,6 @@ def _has_rational_root(coeffs) -> bool:
     a root modulo some l^k > 2B, and only its symmetric representative can be
     an integer root, which is tested exactly.
     """
-    from math import lcm
-
     q = RationalField()
     f = _ptrim(q, [q._coerce_rep(c) for c in coeffs])
     if f[0] == 0:

@@ -1,40 +1,52 @@
 """Points and lines of the projective plane over an exact field.
 
 Homogeneous triples are stored in canonical form: the leftmost nonzero
-coordinate is scaled to 1, so equality and hashing are structural.
+coordinate is scaled to 1, so equality and hashing are structural.  The
+arithmetic runs on the field's raw representations; each coordinate of a
+result is wrapped in a FieldElement once.
 """
 
 from __future__ import annotations
 
 from .errors import EqualLines, EqualPoints, FieldMismatch
-from .fields import Field
+from .fields import Field, FieldElement
 
 
 class _Triple:
-    """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it."""
+    """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it.
 
-    __slots__ = ("_t",)
+    _r holds the raw representations, _t the same values as FieldElements.
+    """
+
+    __slots__ = ("_r", "_t")
     _brackets = "[]"
 
     def __init__(self, field: Field, triple):
-        elems = [field.element(v) for v in triple]
-        if len(elems) != 3:
+        reps = tuple(field._coerce_rep(v) for v in triple)
+        if len(reps) != 3:
             raise ValueError("expected exactly three homogeneous coordinates")
-        pivot = next((e for e in elems if e), None)
-        if pivot is None:
-            raise ValueError("projective triple must have a nonzero coordinate")
-        scale = pivot.inverse()
-        self._t = tuple(e * scale for e in elems)
+        self._set(field, field._canonical(reps))
+
+    @classmethod
+    def _of_canonical(cls, field: Field, reps):
+        self = cls.__new__(cls)
+        self._set(field, reps)
+        return self
+
+    def _set(self, field, reps):
+        self._r = reps
+        self._t = tuple(FieldElement(field, r) for r in reps)
 
     @property
     def field(self) -> Field:
         return self._t[0].field
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and other._t == self._t
+        return (other.__class__ is self.__class__ and other._r == self._r
+                and other.field == self.field)
 
     def __hash__(self):
-        return hash((self._brackets, self._t))  # points and lines hash apart
+        return hash((self._brackets, self._r))  # points and lines hash apart
 
     def __repr__(self):
         return self._brackets[0] + ":".join(repr(c) for c in self._t) + self._brackets[1]
@@ -60,12 +72,12 @@ class ProjLine(_Triple):
 
 def _cross(u: _Triple, v: _Triple, noun: str, coincide, result):
     """The meet of two distinct lines, or the join of two distinct points."""
-    if u.field != v.field:
-        raise FieldMismatch(f"{noun} live over {u.field} and {v.field}")
-    if u == v:
+    field = u.field
+    if field != v.field:
+        raise FieldMismatch(f"{noun} live over {field} and {v.field}")
+    if u._r == v._r:
         raise coincide(f"{noun} coincide: {u!r}")
-    (a1, b1, c1), (a2, b2, c2) = u._t, v._t
-    return result(u.field, (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1))
+    return result._of_canonical(field, field._cross(u._r, v._r))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
@@ -80,7 +92,9 @@ def join(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
 
 def incident(point: ProjPoint, line: ProjLine) -> bool:
     """Exact incidence test: does the point lie on the line?"""
-    if point.field != line.field:
-        raise FieldMismatch(f"point over {point.field}, line over {line.field}")
-    (x, y, z), (a, b, c) = point.coords, line.coeffs
-    return not (a * x + b * y + c * z)
+    field = point.field
+    if field != line.field:
+        raise FieldMismatch(f"point over {field}, line over {line.field}")
+    (x, y, z), (a, b, c) = point._r, line._r
+    mul, add = field._mul, field._add
+    return field._is_zero(add(add(mul(a, x), mul(b, y)), mul(c, z)))

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+import negarr.arrangement
 
 from negarr.arrangement import (
     KEEP_ORIGINAL_POINTS,
@@ -17,7 +20,13 @@ from negarr.arrangement import (
     singular_points,
     spectrum_of,
 )
-from negarr.catalog import gen_fermat, gen_generic, gen_pencil, gen_quasi_pencil
+from negarr.catalog import (
+    gen_fermat,
+    gen_finite_field_full,
+    gen_generic,
+    gen_pencil,
+    gen_quasi_pencil,
+)
 from negarr.errors import (
     EmptyPointSet,
     EmptyResult,
@@ -27,7 +36,7 @@ from negarr.errors import (
     RemovingAll,
     SingleLine,
 )
-from negarr.fields import RationalField
+from negarr.fields import ExtensionField, PrimeField, RationalField, cyclotomic_field
 from negarr.projective import ProjLine, ProjPoint
 
 Q = RationalField()
@@ -224,3 +233,65 @@ def test_member_sets_match_direct_multiplicity():
         for i in members:
             from negarr.projective import incident
             assert incident(key, arr.lines[i])
+
+
+def _reference_points(arr):
+    """The singular locus from all C(d,2) pairs, met by the FieldElement formula."""
+    acc = {}
+    for i, j in itertools.combinations(range(arr.d), 2):
+        (a1, b1, c1), (a2, b2, c2) = arr.lines[i].coeffs, arr.lines[j].coeffs
+        p = ProjPoint(arr.field, (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1))
+        acc.setdefault(p, set()).update((i, j))
+    ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
+    return tuple((p, frozenset(members)) for p, members in ordered)
+
+
+def _random_arrangement(rng, field, d, entry):
+    lines = set()
+    while len(lines) < d:
+        coeffs = [entry() for _ in range(3)]
+        if any(field.element(c) for c in coeffs):
+            lines.add(ProjLine(field, coeffs))
+    return CoordArrangement(sorted(lines, key=lambda l: rng.random()))
+
+
+def _differential_inputs():
+    rng = random.Random(2718)
+    gf9 = ExtensionField(PrimeField(3), [1, 0, 1])
+    gf9_elems = list(gf9.iter_elements())
+    out = {}
+    for n in range(3):
+        out[f"q-{n}"] = _random_arrangement(rng, Q, 14, lambda: rng.randint(-2, 2))
+        out[f"gf7-{n}"] = _random_arrangement(rng, PrimeField(7), 20,
+                                              lambda: rng.randrange(7))
+        out[f"gf9-{n}"] = _random_arrangement(rng, gf9, 16, lambda: rng.choice(gf9_elems))
+    for n in (3, 12):
+        field = cyclotomic_field(n)
+        out[f"cyclo{n}"] = _random_arrangement(
+            rng, field, 9, lambda: [rng.randint(-1, 1) for _ in range(field.degree)])
+    out["fermat4"] = gen_fermat(4)
+    out["generic"] = gen_generic(8)
+    out["pencil"] = gen_pencil(7)
+    out["quasipencil"] = gen_quasi_pencil(7)
+    for q in (2, 3, 4, 5):
+        out[f"pg2-{q}"] = gen_finite_field_full(q)
+    return out
+
+
+_DIFFERENTIAL = _differential_inputs()
+
+
+@pytest.mark.parametrize("arr", _DIFFERENTIAL.values(), ids=_DIFFERENTIAL)
+def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
+    meet, calls = negarr.arrangement.meet, []
+
+    def counted(l1, l2):
+        calls.append((l1, l2))
+        return meet(l1, l2)
+
+    monkeypatch.setattr(negarr.arrangement, "meet", counted)
+    inc = singular_points(arr)
+    reference = _reference_points(arr)
+    assert inc.points == reference
+    assert [repr(p) for p, _ in inc.points] == [repr(p) for p, _ in reference]
+    assert len(calls) == sum(len(members) - 1 for _, members in reference)

@@ -345,6 +345,7 @@ _INPUT_ERRORS = {
     "order-arity": (_SPEC + "order 9 9\n", ()),
     "order-not-prime-power": (_SPEC + "order 6\n", ()),
     "unknown-flag": (_SPEC + "flags real sorted\n", ()),
+    "second-flags-row": (_SPEC + "flags real\nflags complete\n", ()),
     "spectrum-and-lines": (_SPEC + "line 1 0 0\n", ()),
     "no-t-rows": ("spectrum d=9\nflags complete\n", ()),
     "empty-input": ("# nothing here\n", ()),
@@ -368,6 +369,17 @@ def test_input_errors_through_main(text, argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_input_error_messages(tmp_path, capsys):
+    f = tmp_path / "in.txt"
+    f.write_text(_SPEC + "flags real\nflags complete\n")
+    assert _run(capsys, "analyze", str(f)) == \
+        (2, "", "error: a file takes one flags row, listing every flag\n")
+    # even and beyond the primality bound: the small divisions answer first
+    f.write_text("field GF 1000000000000000000000000000000\nline 1 0 0\nline 0 1 0\n")
+    assert _run(capsys, "analyze", str(f)) == \
+        (2, "", "error: 1000000000000000000000000000000 is not prime\n")
 
 
 def test_missing_file_is_input_error(capsys):

@@ -161,6 +161,8 @@ def test_is_prime_large_inputs():
     assert is_prime(10 ** 15 + 37)
     with pytest.raises(ValueError, match="3317044064679887385961981"):
         is_prime(10 ** 30 + 57)
+    assert not is_prime(10 ** 30)  # even: the divisions answer before the bound
+    assert not is_prime(3 * (10 ** 30 + 57))
 
 
 def _prime_power_by_trial_division(q):
@@ -190,7 +192,11 @@ def test_prime_power_large_inputs():
     with pytest.raises(ValueError, match="3317044064679887385961981"):
         prime_power(10 ** 30 + 57)
     with pytest.raises(ValueError, match="3317044064679887385961981"):
-        prime_power(10 ** 1000 + 1)  # no perfect power: the test bound decides
+        prime_power(10 ** 1000 + 9)  # no perfect power, no small factor: the bound decides
+    # a small factor answers at any size: 17 divides 10^1000 + 1, and 25
+    # divides the composite below, which is no perfect power
+    assert prime_power(10 ** 1000 + 1) is None
+    assert prime_power(247588007511199603758832025575) is None
     assert time.process_time() - start < 1
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,3 +131,81 @@ def test_sort_key_orders_distinct_objects():
     ordered = sorted(pts, key=lambda p: p.sort_key())
     assert len(set(ordered)) == 6
     assert sorted(ordered, key=lambda p: p.sort_key()) == ordered
+
+
+def _canonical_by_operators(elems):
+    """The FieldElement formula for a canonical triple: divide by the pivot."""
+    pivot = next(e for e in elems if e)
+    return [e / pivot for e in elems]
+
+
+def _cross_by_operators(u, v):
+    (a1, b1, c1), (a2, b2, c2) = u, v
+    return _canonical_by_operators([b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1])
+
+
+_GF9 = ExtensionField(PrimeField(3), [1, 0, 1])
+_FIELD_KINDS = {
+    "q": (Q, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+    "gfp": (PrimeField(13), lambda rng: rng.randrange(13)),
+    "gfpk": (_GF9, lambda rng: [rng.randrange(3), rng.randrange(3)]),
+    "cyclo": (cyclotomic_field(12),
+              lambda rng: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]),
+}
+
+
+@pytest.mark.parametrize("kind", _FIELD_KINDS)
+def test_raw_rep_arithmetic_matches_operator_formula(kind):
+    field, entry = _FIELD_KINDS[kind]
+    rng = random.Random(f"raw-{kind}")
+
+    def triple(cls):
+        while True:
+            elems = [field.element(entry(rng)) for _ in range(3)]
+            if any(elems):
+                obj = cls(field, elems)
+                assert list(obj._t) == _canonical_by_operators(elems)
+                return obj
+
+    incidences = 0
+    for _ in range(60):
+        l1, l2, l3 = triple(ProjLine), triple(ProjLine), triple(ProjLine)
+        if l1 == l2:
+            continue
+        p = meet(l1, l2)
+        assert list(p.coords) == _cross_by_operators(l1.coeffs, l2.coeffs)
+        assert [c.value for c in p.coords] == [c.value for c in _cross_by_operators(
+            l1.coeffs, l2.coeffs)]
+        for line in (l1, l2, l3):
+            (x, y, z), (a, b, c) = p.coords, line.coeffs
+            assert incident(p, line) == (not (a * x + b * y + c * z))
+            incidences += incident(p, line)
+        q = triple(ProjPoint)
+        if q != p:
+            assert list(join(p, q).coeffs) == _cross_by_operators(p.coords, q.coords)
+            assert join(p, q) == join(q, p)
+    assert incidences >= 100  # every meet lies on both its lines
+
+
+def test_mixed_fields_raise_and_equal_fields_agree():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    pairs = [(Q, cyclotomic_field(3)), (PrimeField(2), gf4), (PrimeField(5), PrimeField(7)),
+             (gf4, ExtensionField(PrimeField(2), [1, 1, 0, 1]))]
+    for f1, f2 in pairs:
+        l1, l2 = ProjLine(f1, (1, 0, 0)), ProjLine(f2, (0, 1, 0))
+        p1, p2 = ProjPoint(f1, (1, 0, 0)), ProjPoint(f2, (0, 1, 0))
+        with pytest.raises(FieldMismatch):
+            meet(l1, l2)
+        with pytest.raises(FieldMismatch):
+            join(p1, p2)
+        with pytest.raises(FieldMismatch):
+            incident(p1, l2)
+        assert ProjPoint(f1, (1, 1, 1)) != ProjPoint(f2, (1, 1, 1))
+    for build in (RationalField, lambda: PrimeField(7), lambda: cyclotomic_field(12),
+                  lambda: ExtensionField(PrimeField(3), [1, 0, 1])):
+        f1, f2 = build(), build()
+        assert f1 is not f2
+        a = meet(ProjLine(f1, (1, 2, 3)), ProjLine(f1, (3, 1, 2)))
+        b = meet(ProjLine(f2, (1, 2, 3)), ProjLine(f2, (3, 1, 2)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert incident(a, ProjLine(f2, (1, 2, 3)))
