@@ -102,13 +102,15 @@ class CoordArrangement:
 class IncidenceStructure:
     """Points with member-line sets for an arrangement of labeled lines.
 
-    complete means the points are exactly the full singular locus of the
-    lines, in which case the pair-count identity sum C(m_i,2) = C(d,2) is
-    enforced.  Points of multiplicity below 2 are allowed (and only appear)
-    when a removal kept the original point set.
+    points holds (key, members) pairs; on_line maps each line label to the
+    ids (indices into points) of the points on that line.  complete means the
+    points are exactly the full singular locus of the lines, in which case the
+    pair-count identity sum C(m_i,2) = C(d,2) is enforced.  Points of
+    multiplicity below 2 are allowed (and only appear) when a removal kept the
+    original point set.
     """
 
-    __slots__ = ("line_labels", "points", "complete", "real", "field_order")
+    __slots__ = ("line_labels", "points", "on_line", "complete", "real", "field_order")
 
     def __init__(self, line_labels, points, *, complete, real=False, field_order=None):
         labels = tuple(line_labels)
@@ -119,10 +121,13 @@ class IncidenceStructure:
         pts = tuple((key, frozenset(members)) for key, members in points)
         if not pts:
             raise EmptyResult("incidence structure has no points")
-        label_set = set(labels)
-        for key, members in pts:
-            if not members <= label_set:
-                raise ValueError(f"point {key!r} references unknown lines")
+        on_line = {lab: [] for lab in labels}
+        for pid, (key, members) in enumerate(pts):
+            for lab in members:
+                ids = on_line.get(lab)
+                if ids is None:
+                    raise ValueError(f"point {key!r} references unknown lines")
+                ids.append(pid)
         if complete:
             lhs = sum(comb(len(members), 2) for _, members in pts)
             rhs = comb(len(labels), 2)
@@ -130,6 +135,7 @@ class IncidenceStructure:
                 raise IdentityViolation(lhs, rhs)
         self.line_labels = labels
         self.points = pts
+        self.on_line = on_line
         self.complete = bool(complete)
         self.real = bool(real)
         self.field_order = field_order
@@ -282,12 +288,8 @@ def multiplicity(arr: CoordArrangement, point: ProjPoint) -> int:
 def _derive_profile(inc: IncidenceStructure):
     if not inc.complete:
         return None
-    per_line = {lab: Counter() for lab in inc.line_labels}
-    for _, members in inc.points:
-        m = len(members)
-        for lab in members:
-            per_line[lab][m] += 1
-    profiles = list(per_line.values())
+    mult = inc.multiplicities()
+    profiles = [Counter(mult[pid] for pid in ids) for ids in inc.on_line.values()]
     first = profiles[0]
     if all(p == first for p in profiles):
         return {k: first[k] for k in sorted(first)}
@@ -360,19 +362,15 @@ def remove_lines(inc: IncidenceStructure, removed,
 def equidistribution(x):
     """The common number of recorded points per line, or None if it varies.
 
-    Works from member sets for an IncidenceStructure and from the per-line
-    profile for a Spectrum; a spectrum without profile has no incidence data
-    to answer from.
+    Works from the per-line index for an IncidenceStructure and from the
+    per-line profile for a Spectrum; a spectrum without profile has no
+    incidence data to answer from.
     """
     if isinstance(x, Spectrum):
         if x.profile is None:
             raise NoIncidenceData("spectrum carries no per-line profile")
         return sum(x.profile.values())
-    counts = {lab: 0 for lab in x.line_labels}
-    for _, members in x.points:
-        for lab in members:
-            counts[lab] += 1
-    values = set(counts.values())
+    values = {len(ids) for ids in x.on_line.values()}
     if len(values) == 1:
         return values.pop()
     return None

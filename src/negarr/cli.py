@@ -24,8 +24,10 @@ Points (for analyze --points FILE, with a coordinates input):
     point 1 1 1
 
 A row of the other kind (field in a spectrum file; t, profile or order in a
-coordinates or points file) is an input error, and so is a second flags row:
-the one flags row lists every flag.
+coordinates or points file) is an input error, and so is a repeated row: a
+second field, spectrum, flags or order row, or a second t or profile row for
+the same multiplicity.  No later row replaces an earlier one; the one flags
+row lists every flag.
 
 Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
@@ -73,7 +75,7 @@ from .errors import (
     RemovingAll,
     SearchTooLarge,
 )
-from .fields import Field, FieldElement, RationalField, parse_field, prime_power
+from .fields import Field, RationalField, parse_field, prime_power
 from .negativity import (
     CertificateReport,
     HReport,
@@ -107,16 +109,6 @@ def _yn(flag: bool) -> str:
 _ORDER_NAMES = {-1: "less", 0: "equal", 1: "greater"}
 
 
-# ---- element literals ----
-
-def parse_element(field: Field, token: str) -> FieldElement:
-    """One exact element literal, in the syntax format_rep emits."""
-    try:
-        return FieldElement(field, field.parse_rep(token))
-    except ValueError as exc:
-        raise ParseError(f"bad element literal {token!r} for {field!r}: {exc}") from None
-
-
 # ---- input files ----
 
 class InputFile:
@@ -145,24 +137,29 @@ def parse_input(text: str) -> InputFile:
         if key == "note":
             notes.append(line[len("note"):].strip())
         elif key == "field":
+            _once(field is not None, "field row")
             field = parse_field(line[len("field"):])
         elif key in ("line", "point"):
             rows.append(tokens)
         elif key == "spectrum":
             if len(tokens) != 2 or not tokens[1].startswith("d="):
                 raise ParseError(f"expected 'spectrum d=N', got {line!r}")
+            _once(spec_d is not None, "spectrum row")
             spec_d = _int_of(tokens[1][2:], "line count")
         elif key == "t":
             if len(tokens) != 3:
                 raise ParseError(f"expected 't K COUNT', got {line!r}")
-            t[_int_of(tokens[1], "multiplicity")] = _int_of(tokens[2], "count")
+            k = _int_of(tokens[1], "multiplicity")
+            _once(k in t, f"t row for multiplicity {k}")
+            t[k] = _int_of(tokens[2], "count")
         elif key == "profile":
             if len(tokens) != 3:
                 raise ParseError(f"expected 'profile K COUNT', got {line!r}")
-            profile[_int_of(tokens[1], "multiplicity")] = _int_of(tokens[2], "count")
+            k = _int_of(tokens[1], "multiplicity")
+            _once(k in profile, f"profile row for multiplicity {k}")
+            profile[k] = _int_of(tokens[2], "count")
         elif key == "flags":
-            if flagged:
-                raise ParseError("a file takes one flags row, listing every flag")
+            _once(flagged, "flags row, listing every flag")
             flagged = True
             real = "real" in tokens[1:]
             complete = "complete" in tokens[1:]
@@ -172,6 +169,7 @@ def parse_input(text: str) -> InputFile:
         elif key == "order":
             if len(tokens) != 2:
                 raise ParseError(f"expected 'order Q', got {line!r}")
+            _once(order is not None, "order row")
             order = _int_of(tokens[1], "field order")
             if prime_power(order) is None:
                 raise ParseError(f"field order {order} is not a prime power")
@@ -206,10 +204,22 @@ def parse_input(text: str) -> InputFile:
 
 
 def _triple(field: Field, row):
-    """The three element literals of a 'line' or 'point' row."""
+    """The reps of the three element literals (the syntax format_rep emits)
+    of a 'line' or 'point' row."""
     if len(row) != 4:
         raise ParseError(f"{row[0]} rows need three entries, got {row[1:]}")
-    return tuple(parse_element(field, tok) for tok in row[1:])
+    reps = []
+    for token in row[1:]:
+        try:
+            reps.append(field.parse_rep(token))
+        except ValueError as exc:
+            raise ParseError(f"bad element literal {token!r} for {field!r}: {exc}") from None
+    return reps
+
+
+def _once(seen: bool, row: str):
+    if seen:
+        raise ParseError(f"a file takes one {row}")
 
 
 def _int_of(text: str, what: str) -> int:
@@ -578,7 +588,8 @@ def cmd_subconfig(args) -> int:
 
 
 def _removals(inc, max_remove: int):
-    """Walk the removals of 1..max_remove lines from a full singular locus.
+    """Walk the removals of 1..max_remove lines from a full singular locus
+    whose lines are labelled 0..d-1, as singular_points labels them.
 
     Subsets come size by size and, within a size, in lexicographic order:
     the order of itertools.combinations.  For each one this yields
@@ -588,12 +599,7 @@ def _removals(inc, max_remove: int):
     m of them (one list, updated in place between yields).  Dropping or
     restoring a line touches only the points on it.
     """
-    d = inc.d
-    mult = [len(members) for _, members in inc.points]
-    on_line = [[] for _ in range(d)]
-    for pid, (_, members) in enumerate(inc.points):
-        for line in members:
-            on_line[line].append(pid)
+    d, mult, on_line = inc.d, inc.multiplicities(), inc.on_line
     hist = [0] * (d + 1)
     for m in mult:
         hist[m] += 1

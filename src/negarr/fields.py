@@ -178,9 +178,6 @@ class FieldElement:
     def __repr__(self):
         return self.field.format_rep(self.value)
 
-    def sort_key(self):
-        return self.field.sort_key_rep(self.value)
-
 
 class Field:
     """Common interface of the concrete field classes.
@@ -191,8 +188,6 @@ class Field:
     but identical handles interoperate.  A subclass sets up whatever
     describe() reads before calling Field.__init__.
     """
-
-    characteristic: int = 0
 
     def __init__(self):
         self.key = self.describe()
@@ -267,8 +262,6 @@ def _integral(t):
 class RationalField(Field):
     """The rational numbers, represented as Fraction values."""
 
-    characteristic = 0
-
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
             if v.field == self:
@@ -327,7 +320,6 @@ class PrimeField(Field):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
         super().__init__()
 
     def _coerce_rep(self, v):
@@ -546,7 +538,6 @@ class ExtensionField(Field):
             raise ValueError("modulus must be monic")
         self.modulus = coeffs
         self.degree = len(coeffs) - 1
-        self.characteristic = base.characteristic
         super().__init__()
         self.modulus_validated = True
         if assume_irreducible:

@@ -1,9 +1,9 @@
 """Points and lines of the projective plane over an exact field.
 
 Homogeneous triples are stored in canonical form: the leftmost nonzero
-coordinate is scaled to 1, so equality and hashing are structural.  The
-arithmetic runs on the field's raw representations; each coordinate of a
-result is wrapped in a FieldElement once.
+coordinate is scaled to 1, so equality and hashing are structural.  A triple
+keeps its field and the raw representations only, and all arithmetic runs on
+those; coords and coeffs wrap them in FieldElements when read.
 """
 
 from __future__ import annotations
@@ -15,31 +15,29 @@ from .fields import Field, FieldElement
 class _Triple:
     """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it.
 
-    _r holds the raw representations, _t the same values as FieldElements.
+    _r holds the canonical raw representations.
     """
 
-    __slots__ = ("_r", "_t")
+    __slots__ = ("field", "_r")
     _brackets = "[]"
 
     def __init__(self, field: Field, triple):
         reps = tuple(field._coerce_rep(v) for v in triple)
         if len(reps) != 3:
             raise ValueError("expected exactly three homogeneous coordinates")
-        self._set(field, field._canonical(reps))
+        self.field = field
+        self._r = field._canonical(reps)
 
     @classmethod
     def _of_canonical(cls, field: Field, reps):
         self = cls.__new__(cls)
-        self._set(field, reps)
+        self.field = field
+        self._r = reps
         return self
 
-    def _set(self, field, reps):
-        self._r = reps
-        self._t = tuple(FieldElement(field, r) for r in reps)
-
-    @property
-    def field(self) -> Field:
-        return self._t[0].field
+    def _elements(self):
+        field = self.field
+        return tuple(FieldElement(field, r) for r in self._r)
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and other._r == self._r
@@ -49,17 +47,19 @@ class _Triple:
         return hash((self._brackets, self._r))  # points and lines hash apart
 
     def __repr__(self):
-        return self._brackets[0] + ":".join(repr(c) for c in self._t) + self._brackets[1]
+        fmt = self.field.format_rep
+        return self._brackets[0] + ":".join(fmt(r) for r in self._r) + self._brackets[1]
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self._t)
+        key = self.field.sort_key_rep
+        return tuple(key(r) for r in self._r)
 
 
 class ProjPoint(_Triple):
     """A point of P^2, canonical homogeneous coordinates."""
 
     __slots__ = ()
-    coords = _Triple._t
+    coords = property(_Triple._elements)
 
 
 class ProjLine(_Triple):
@@ -67,7 +67,7 @@ class ProjLine(_Triple):
 
     __slots__ = ()
     _brackets = "()"
-    coeffs = _Triple._t
+    coeffs = property(_Triple._elements)
 
 
 def _cross(u: _Triple, v: _Triple, noun: str, coincide, result):

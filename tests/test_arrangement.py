@@ -36,7 +36,13 @@ from negarr.errors import (
     RemovingAll,
     SingleLine,
 )
-from negarr.fields import ExtensionField, PrimeField, RationalField, cyclotomic_field
+from negarr.fields import (
+    ExtensionField,
+    FieldElement,
+    PrimeField,
+    RationalField,
+    cyclotomic_field,
+)
 from negarr.projective import ProjLine, ProjPoint
 
 Q = RationalField()
@@ -216,6 +222,56 @@ def test_profile_derivation_uniform_only():
     assert sp.profile is None
     sp3 = spectrum_of(singular_points(gen_fermat(3)))
     assert sp3.profile == {3: 4}
+
+
+def _line_index_cases():
+    pg3, fermat3, generic6, quasi6 = (singular_points(arr) for arr in (
+        gen_finite_field_full(3), gen_fermat(3), gen_generic(6), gen_quasi_pencil(6)))
+    keep, restrict = KEEP_ORIGINAL_POINTS, RESTRICT_TO_NEW_SINGULAR
+    # name: (incidence structure, points per line, per-line profile)
+    return {
+        "pg2-3": (pg3, 4, {4: 4}),
+        "pg2-3-restrict-5": (remove_lines(pg3, [5], restrict), 4, {3: 1, 4: 3}),
+        "pg2-3-restrict-3,7": (remove_lines(pg3, [3, 7], restrict), 4, None),
+        "pg2-3-keep-3,7": (remove_lines(pg3, [3, 7], keep), 4, None),
+        "fermat-3-restrict-4": (remove_lines(fermat3, [4], restrict), 4, {2: 1, 3: 3}),
+        "generic-6-restrict-1,3": (remove_lines(generic6, [1, 3], restrict), 3, {2: 3}),
+        "generic-6-keep-1,3": (remove_lines(generic6, [1, 3], keep), 5, None),
+        "quasi-6": (quasi6, None, None),
+        "quasi-6-keep-1,3": (remove_lines(quasi6, [1, 3], keep), None, None),
+        "quasi-6-restrict-1,2,3": (remove_lines(quasi6, [1, 2, 3], restrict), 2, {2: 2}),
+    }
+
+
+_LINE_INDEX = _line_index_cases()
+
+
+@pytest.mark.parametrize("inc, per_line, profile", _LINE_INDEX.values(), ids=_LINE_INDEX)
+def test_line_index_matches_member_sets(inc, per_line, profile):
+    expected = {lab: [] for lab in inc.line_labels}
+    for pid, (_, members) in enumerate(inc.points):
+        for lab in members:
+            expected[lab].append(pid)
+    assert inc.on_line == expected
+    assert list(inc.on_line) == list(inc.line_labels)
+    assert equidistribution(inc) == per_line
+    assert spectrum_of(inc).profile == profile
+
+
+def test_locus_builds_no_field_element(monkeypatch):
+    arrangements = [gen_finite_field_full(9), gen_fermat(5), gen_generic(20)]
+    init, calls = FieldElement.__init__, []
+
+    def counted(self, field, value):
+        calls.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    for arr in arrangements:
+        inc = singular_points(arr)
+        for p, _ in inc.points:
+            assert not any(isinstance(r, FieldElement) for r in p._r)
+    assert calls == []
 
 
 def test_rational_coordinates_are_real():

@@ -346,6 +346,11 @@ _INPUT_ERRORS = {
     "order-not-prime-power": (_SPEC + "order 6\n", ()),
     "unknown-flag": (_SPEC + "flags real sorted\n", ()),
     "second-flags-row": (_SPEC + "flags real\nflags complete\n", ()),
+    "second-field-row": ("field Q\nfield GF 5\nline 1 0 0\nline 0 1 0\n", ()),
+    "second-spectrum-row": (_SPEC + "spectrum d=9\n", ()),
+    "second-order-row": (_SPEC + "order 3\norder 9\n", ()),
+    "second-t-row": (_SPEC + "t 3 12\n", ()),
+    "second-profile-row": (_SPEC + "profile 3 4\nprofile 3 4\n", ()),
     "spectrum-and-lines": (_SPEC + "line 1 0 0\n", ()),
     "no-t-rows": ("spectrum d=9\nflags complete\n", ()),
     "empty-input": ("# nothing here\n", ()),
@@ -376,6 +381,14 @@ def test_input_error_messages(tmp_path, capsys):
     f.write_text(_SPEC + "flags real\nflags complete\n")
     assert _run(capsys, "analyze", str(f)) == \
         (2, "", "error: a file takes one flags row, listing every flag\n")
+    for text, message in (("field Q\nfield GF 5\nline 1 0 0\n", "field row"),
+                          (_SPEC + "spectrum d=12\n", "spectrum row"),
+                          (_SPEC + "order 3\norder 9\n", "order row"),
+                          (_SPEC + "t 3 0\n", "t row for multiplicity 3"),
+                          (_SPEC + "profile 3 4\nprofile 03 4\n",
+                           "profile row for multiplicity 3")):
+        f.write_text(text)
+        assert _run(capsys, "analyze", str(f)) == (2, "", f"error: a file takes one {message}\n")
     # even and beyond the primality bound: the small divisions answer first
     f.write_text("field GF 1000000000000000000000000000000\nline 1 0 0\nline 0 1 0\n")
     assert _run(capsys, "analyze", str(f)) == \

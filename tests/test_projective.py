@@ -164,7 +164,8 @@ def test_raw_rep_arithmetic_matches_operator_formula(kind):
             elems = [field.element(entry(rng)) for _ in range(3)]
             if any(elems):
                 obj = cls(field, elems)
-                assert list(obj._t) == _canonical_by_operators(elems)
+                stored = obj.coeffs if cls is ProjLine else obj.coords
+                assert list(stored) == _canonical_by_operators(elems)
                 return obj
 
     incidences = 0
