@@ -258,14 +258,14 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     found_on = [[] for _ in lines]  # member sets of the points found on each line
     for i, line in enumerate(lines):
         covered = set().union(*found_on[i])
+        fresh = {i}  # the member set of the next new point: one hash per meet
         for j in range(i + 1, len(lines)):
             if j in covered:
                 continue
-            p = meet(line, lines[j])
-            members = acc.get(p)
-            if members is None:
-                members = acc[p] = {i}
+            members = acc.setdefault(meet(line, lines[j]), fresh)
+            if members is fresh:
                 found_on[i].append(members)
+                fresh = {i}
             members.add(j)
             found_on[j].append(members)
     ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())

@@ -27,7 +27,9 @@ A row of the other kind (field in a spectrum file; t, profile or order in a
 coordinates or points file) is an input error, and so is a repeated row: a
 second field, spectrum, flags or order row, or a second t or profile row for
 the same multiplicity.  No later row replaces an earlier one; the one flags
-row lists every flag.
+row lists every flag.  A flag that means nothing for the file kind is an
+input error too: a coordinates file takes only real (its locus is always
+complete), and a points file takes no flags row.
 
 Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
@@ -192,6 +194,11 @@ def parse_input(text: str) -> InputFile:
     kind = rows[0][0]
     if any(row[0] != kind for row in rows):
         raise ParseError("a file holds either line rows or point rows, not both")
+    if flagged and kind == "point":
+        raise ParseError("a points file takes no flags row")
+    if flagged and complete:
+        raise ParseError("a coordinates file takes only the real flag; "
+                         "complete belongs in a spectrum file")
     if field is None:
         raise ParseError(f"{kind} rows need a field row")
     triples = [_triple(field, row) for row in rows]

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import (
     DivisionByZero,
@@ -630,6 +631,29 @@ class ExtensionField(Field):
     def _is_zero(self, a):
         return all(self.base._is_zero(c) for c in a)
 
+    @cached_property
+    def _kernel(self):
+        """The int kernel that meets and canonicalises, built at first use:
+        Zech tables over a prime base of order at most ZECH_MAX_ORDER, or
+        Z[x]/(f) over Q with an integral modulus f.  None leaves the field on
+        the generic Field path (towers, other moduli, larger orders)."""
+        base = self.base
+        if isinstance(base, PrimeField):
+            if base.p ** self.degree <= ZECH_MAX_ORDER:
+                return _zech_kernel(self)
+        elif isinstance(base, RationalField):
+            if all(c.denominator == 1 for c in self.modulus):
+                return _IntegralKernel(self)
+        return None
+
+    def _canonical(self, reps):
+        kernel = self._kernel
+        return super()._canonical(reps) if kernel is None else kernel.canonical(reps)
+
+    def _cross(self, u, v):
+        kernel = self._kernel
+        return super()._cross(u, v) if kernel is None else kernel.cross(u, v)
+
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
 
@@ -659,6 +683,203 @@ class ExtensionField(Field):
         reps = [e.value for e in self.base.iter_elements()]
         for combo in itertools.product(reps, repeat=self.degree):
             yield FieldElement(self, tuple(combo))
+
+
+# ---- int kernels for extension-field meets ----
+# Both take and return the reps ExtensionField uses (tuples of residues or of
+# Fractions), so every byte a report prints stays the same.
+
+# Zech tables for GF(q) are built only up to this order: at q = 256 building
+# them costs about as much as a hundred generic meets.
+ZECH_MAX_ORDER = 256
+
+
+def _int_reduce(c, modulus):
+    """The int list c (ascending degree, updated) reduced modulo a monic int
+    modulus."""
+    k = len(modulus) - 1
+    for i in range(len(c) - 1, k - 1, -1):
+        coef = c[i]
+        if coef:
+            off = i - k
+            for j in range(k):
+                c[off + j] -= coef * modulus[j]
+    return c[:k]
+
+
+def _int_addmul(out, a, b, sign=1):
+    """out plus sign * a * b, for int coefficient lists; out is updated."""
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= sign
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _int_det2(a, b, c, d, modulus):
+    """a*b - c*d in Z[x]/(modulus), on int coefficient lists."""
+    out = _int_addmul([0] * (2 * len(a) - 1), a, b)
+    return _int_reduce(_int_addmul(out, c, d, -1), modulus)
+
+
+class _ZechKernel:
+    """Meets in GF(q) on discrete logarithms to a primitive element g.
+
+    A nonzero element g^e has log e in [0, n), n = q - 1; zero has the log
+    3n.  A product adds logs, -1 is g^h (h = n/2, or 0 in characteristic 2),
+    and a sum uses the Zech logarithm zech[t] = log(1 + g^t):
+    g^a + g^b = g^(a + zech[b - a]) (Lidl and Niederreiter, Finite Fields).
+    wrap[s] is s mod n for a sum s of nonzero logs (below 3n) and
+    3n for any sum that includes 3n; rep maps a log back to its rep.
+    """
+
+    __slots__ = ("log", "rep", "wrap", "zech", "n", "h", "zero", "one")
+
+    def __init__(self, p, powers):
+        n = len(powers)
+        self.n, self.h = n, n // 2 if p > 2 else 0
+        self.one, self.zero = powers[0], (0,) * len(powers[0])
+        self.log = {r: e for e, r in enumerate(powers)}
+        self.log[self.zero] = 3 * n
+        self.rep = powers + [None] * (2 * n) + [self.zero]  # no log falls in [n, 3n)
+        self.wrap = [s % n for s in range(3 * n)] + [3 * n] * (4 * n)
+        self.zech = [self.log[((r[0] + 1) % p,) + r[1:]] for r in powers]
+
+    def _minus(self, a, b):
+        """The log of g^a - g^b for logs a and b."""
+        b = self.wrap[b + self.h]
+        if a == 3 * self.n:
+            return b
+        if b == 3 * self.n:
+            return a
+        return self.wrap[a + self.zech[b - a]]  # b - a < 0 indexes zech mod n
+
+    def _scaled(self, x, y, z):
+        """The reps of the triple of logs scaled to a leftmost one."""
+        n, wrap, rep = self.n, self.wrap, self.rep
+        if x != 3 * n:
+            return (self.one, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
+        if y != 3 * n:
+            return (self.zero, self.one, rep[wrap[z + n - y]])
+        if z != 3 * n:
+            return (self.zero, self.zero, self.one)
+        raise ValueError("projective triple must have a nonzero coordinate")
+
+    def canonical(self, reps):
+        log = self.log
+        return self._scaled(*[log[r] for r in reps])
+
+    def cross(self, u, v):
+        log, wrap, minus = self.log, self.wrap, self._minus
+        a1, b1, c1 = [log[r] for r in u]
+        a2, b2, c2 = [log[r] for r in v]
+        return self._scaled(minus(wrap[b1 + c2], wrap[b2 + c1]),
+                            minus(wrap[c1 + a2], wrap[c2 + a1]),
+                            minus(wrap[a1 + b2], wrap[a2 + b1]))
+
+
+def _zech_kernel(field):
+    """Zech tables for a GF(p)[x]/(f), or None when no element has order
+    q - 1 (f is then reducible, which only assume_irreducible lets in)."""
+    p, k = field.base.p, field.degree
+    modulus, n = list(field.modulus), p ** k - 1
+    one = (1,) + (0,) * (k - 1)
+    for g in itertools.product(range(p), repeat=k):
+        if not any(g[1:]):
+            continue  # a constant has order dividing p - 1 < n
+        powers = [one]
+        for _ in range(n):
+            e = _int_addmul([0] * (2 * k - 1), powers[-1], g)
+            e = tuple(c % p for c in _int_reduce(e, modulus))
+            if e == one:
+                break
+            powers.append(e)
+        if len(powers) == n:
+            return _ZechKernel(p, powers)
+    return None
+
+
+def _integral_vectors(t):
+    """Int vectors in the ratio of a triple of Fraction vectors: each
+    coefficient times the lcm of all the denominators (as _integral)."""
+    m = lcm(*(c.denominator for r in t for c in r))
+    return [[c.numerator * (m // c.denominator) for c in r] for r in t]
+
+
+class _IntegralKernel:
+    """Meets in Q[x]/(f) for a monic f with integer coefficients.
+
+    Each triple is scaled to int coefficient vectors, so the cross product is
+    taken in Z[x]/(f).  Its leftmost nonzero entry a is divided out of the
+    other two by one fraction-free elimination of the k x k matrix of
+    multiplication by a, with both as right-hand sides (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 1968).  Fractions are built for the output coefficients only.
+    """
+
+    __slots__ = ("modulus", "zero", "one", "reducible")
+
+    def __init__(self, field):
+        self.modulus = [int(c) for c in field.modulus]
+        self.zero, self.one = field._coerce_rep(0), field._coerce_rep(1)
+        self.reducible = (f"{field.format_rep(field.modulus)} shares a factor "
+                          "with an element; modulus is reducible")
+
+    def _divide(self, a, rhs):
+        """The reps of r / a for each int vector r in rhs."""
+        if not any(a[1:]):  # an integer
+            return [tuple(Fraction(v, a[0]) if v else _ZERO for v in r) for r in rhs]
+        f = self.modulus
+        # column j of the matrix is a * x^j; the right-hand sides follow
+        cols = [a]
+        for _ in range(len(a) - 1):
+            col = [0] + cols[-1]
+            lead = col.pop()
+            cols.append([c - lead * m for c, m in zip(col, f)] if lead else col)
+        rows = [list(row) for row in zip(*cols, *rhs)]
+        # Bareiss: each step divides exactly by the previous pivot, and drops
+        # the pivot column from the rows left; the pivot rows form U
+        upper, last = [], 1
+        while rows:
+            at = next((i for i, row in enumerate(rows) if row[0]), None)
+            if at is None:  # a is a zero divisor
+                raise ReducibleModulus(self.reducible)
+            top = rows.pop(at)
+            upper.append(top)
+            pivot, tail = top[0], top[1:]
+            rows = [[(pivot * x - row[0] * y) // last for x, y in zip(row[1:], tail)]
+                    for row in rows]
+            last = pivot
+        # last is the determinant, and last * (r / a) is an int vector, found
+        # from the bottom row of U up with exact divisions
+        out = []
+        for s in range(len(rhs)):
+            xs = []
+            for row in reversed(upper):
+                n = len(xs)
+                xs.insert(0, (last * row[n + 1 + s] - sum(map(mul, row[1:n + 1], xs))) // row[0])
+            out.append(tuple(Fraction(v, last) if v else _ZERO for v in xs))
+        return out
+
+    def _scaled(self, x, y, z):
+        """The reps of the int triple scaled to a leftmost one."""
+        if any(x):
+            return (self.one, *self._divide(x, [y, z]))
+        if any(y):
+            return (self.zero, self.one, *self._divide(y, [z]))
+        if any(z):
+            return (self.zero, self.zero, self.one)
+        raise ValueError("projective triple must have a nonzero coordinate")
+
+    def canonical(self, reps):
+        return self._scaled(*_integral_vectors(reps))
+
+    def cross(self, u, v):
+        (a1, b1, c1), (a2, b2, c2) = _integral_vectors(u), _integral_vectors(v)
+        f = self.modulus
+        return self._scaled(_int_det2(b1, c2, b2, c1, f), _int_det2(c1, a2, c2, a1, f),
+                            _int_det2(a1, b2, a2, b1, f))
 
 
 # ---- the literal and descriptor grammar: inverses of format_rep and describe ----

@@ -292,11 +292,14 @@ def test_member_sets_match_direct_multiplicity():
 
 
 def _reference_points(arr):
-    """The singular locus from all C(d,2) pairs, met by the FieldElement formula."""
+    """The singular locus from all C(d,2) pairs, met and scaled by the
+    FieldElement formula, so no int kernel takes part."""
     acc = {}
     for i, j in itertools.combinations(range(arr.d), 2):
         (a1, b1, c1), (a2, b2, c2) = arr.lines[i].coeffs, arr.lines[j].coeffs
-        p = ProjPoint(arr.field, (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1))
+        t = (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
+        pivot = next(x for x in t if x)
+        p = ProjPoint._of_canonical(arr.field, tuple((x / pivot).value for x in t))
         acc.setdefault(p, set()).update((i, j))
     ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
     return tuple((p, frozenset(members)) for p, members in ordered)
@@ -325,11 +328,20 @@ def _differential_inputs():
         field = cyclotomic_field(n)
         out[f"cyclo{n}"] = _random_arrangement(
             rng, field, 9, lambda: [rng.randint(-1, 1) for _ in range(field.degree)])
+    # few distinct entries, so that points of multiplicity above 2 occur
+    for n in (5, 7):
+        field = cyclotomic_field(n)
+        pool = [field.zero, field.one, -field.one, field.gen(), field.gen() ** 2]
+        out[f"cyclo{n}"] = _random_arrangement(rng, field, 12, lambda: rng.choice(pool))
+    for q, p, modulus in ((8, 2, [1, 1, 0, 1]), (25, 5, [3, 0, 1]), (27, 3, [1, 2, 0, 1])):
+        field = ExtensionField(PrimeField(p), modulus)
+        pool = [field.zero, field.one] + rng.sample(list(field.iter_elements()), 4)
+        out[f"gf{q}"] = _random_arrangement(rng, field, 18, lambda: rng.choice(pool))
     out["fermat4"] = gen_fermat(4)
     out["generic"] = gen_generic(8)
     out["pencil"] = gen_pencil(7)
     out["quasipencil"] = gen_quasi_pencil(7)
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 7, 8):
         out[f"pg2-{q}"] = gen_finite_field_full(q)
     return out
 

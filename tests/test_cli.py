@@ -351,6 +351,10 @@ _INPUT_ERRORS = {
     "second-order-row": (_SPEC + "order 3\norder 9\n", ()),
     "second-t-row": (_SPEC + "t 3 12\n", ()),
     "second-profile-row": (_SPEC + "profile 3 4\nprofile 3 4\n", ()),
+    "coords-flag-complete": (_TRI + "flags complete\n", ()),
+    "coords-flags-real-complete": (_TRI + "flags real complete\n", ()),
+    "points-flags-row": ("field Q\npoint 1 0 0\nflags real\n",
+                         ("analyze", "{tri}", "--points", "{f}")),
     "spectrum-and-lines": (_SPEC + "line 1 0 0\n", ()),
     "no-t-rows": ("spectrum d=9\nflags complete\n", ()),
     "empty-input": ("# nothing here\n", ()),
@@ -366,10 +370,11 @@ _INPUT_ERRORS = {
 
 @pytest.mark.parametrize("text, argv", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
 def test_input_errors_through_main(text, argv, tmp_path, capsys):
-    f = tmp_path / "in.txt"
+    f, tri = tmp_path / "in.txt", tmp_path / "tri.txt"
     if text is not None:
         f.write_text(text)
-    argv = [a.format(f=f) for a in argv] or ["analyze", str(f)]
+    tri.write_text(_TRI)
+    argv = [a.format(f=f, tri=tri) for a in argv] or ["analyze", str(f)]
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -389,6 +394,18 @@ def test_input_error_messages(tmp_path, capsys):
                            "profile row for multiplicity 3")):
         f.write_text(text)
         assert _run(capsys, "analyze", str(f)) == (2, "", f"error: a file takes one {message}\n")
+    complete_flag = ("error: a coordinates file takes only the real flag; "
+                     "complete belongs in a spectrum file\n")
+    for flags in ("flags complete", "flags real complete", "flags complete real"):
+        f.write_text(_TRI + flags + "\n")
+        assert _run(capsys, "analyze", str(f)) == (2, "", complete_flag)
+    f.write_text(_TRI + "flags real\n")
+    assert _run(capsys, "analyze", str(f))[0] == 0
+    points = tmp_path / "points.txt"
+    points.write_text("field Q\npoint 1 0 0\nflags real\n")
+    f.write_text(_TRI)
+    assert _run(capsys, "analyze", str(f), "--points", str(points)) == \
+        (2, "", "error: a points file takes no flags row\n")
     # even and beyond the primality bound: the small divisions answer first
     f.write_text("field GF 1000000000000000000000000000000\nline 1 0 0\nline 0 1 0\n")
     assert _run(capsys, "analyze", str(f)) == \

@@ -19,7 +19,9 @@ from negarr.fields import (
     EQUAL,
     GREATER,
     LESS,
+    ZECH_MAX_ORDER,
     ExtensionField,
+    Field,
     PrimeField,
     RationalField,
     compare_with_surd_mean,
@@ -470,3 +472,88 @@ def test_repr_round_trip_is_stable():
     assert repr(e) == "[1,1]"
     assert repr(Q.element(Fraction(-3, 7))) == "-3/7"
     assert repr(PrimeField(5).element(9)) == "4"
+
+
+def _kernel_fields():
+    out = {f"gf{p ** (len(modulus) - 1)}": ExtensionField(PrimeField(p), modulus)
+           for p, modulus in ((2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]),
+                              (5, [3, 0, 1]), (3, [1, 2, 0, 1]))}
+    out.update((f"cyclo{n}", cyclotomic_field(n)) for n in (3, 5, 7, 12))
+    out["cube-root-2"] = parse_field("EXT Q [-2,0,0,1]")
+    return out
+
+
+_KERNEL_FIELDS = _kernel_fields()
+
+
+def _outcome(fn, *args):
+    """fn(*args) with the type of every coefficient, or the error it raises."""
+    try:
+        reps = fn(*args)
+    except (ValueError, ReducibleModulus) as exc:
+        return type(exc), str(exc)
+    return reps, [type(c) for r in reps for c in r]
+
+
+def _sparse_triple(field, rng):
+    """Three random reps with about half their coefficients zero, so zero
+    pivots, zero entries and proportional pairs all occur."""
+    def coefficient():
+        if rng.random() < 0.5:
+            return 0
+        if isinstance(field.base, PrimeField):
+            return rng.randrange(field.base.p)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return tuple(field._coerce_rep([coefficient() for _ in range(field.degree)])
+                 for _ in range(3))
+
+
+@pytest.mark.parametrize("field", _KERNEL_FIELDS.values(), ids=_KERNEL_FIELDS)
+def test_int_kernels_match_generic_path(field):
+    assert field._kernel is not None
+    rng = random.Random(field.key)
+    for _ in range(400):
+        u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
+        assert _outcome(field._canonical, u) == _outcome(Field._canonical, field, u)
+        assert _outcome(field._cross, u, v) == _outcome(Field._cross, field, u, v)
+
+
+def test_reducible_integral_modulus_fails_alike():
+    # (x^2 + 1)(x^2 + 2) has no rational root, so it is accepted with a
+    # warning; the kernel meets zero divisors where the generic path does
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        field = parse_field("EXT Q [2,0,3,0,1]")
+    assert field._kernel is not None
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(400):
+        u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
+        got = _outcome(field._cross, u, v)
+        assert got == _outcome(Field._cross, field, u, v)
+        outcomes.add(got[0] if got[0] in (ValueError, ReducibleModulus) else "point")
+    assert outcomes == {ValueError, ReducibleModulus, "point"}
+
+
+def test_fields_off_the_kernels_stay_generic(monkeypatch):
+    def no_tables(field):
+        raise AssertionError(f"Zech tables built for {field}")
+
+    monkeypatch.setattr("negarr.fields._zech_kernel", no_tables)
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        tower = ExtensionField(gf4, [gf4.gen().value, [1], [1]])
+    big = ExtensionField(PrimeField(17), [14, 0, 1])  # x^2 - 3: GF(289)
+    assert big.order > ZECH_MAX_ORDER
+    rng = random.Random(11)
+    for field in (tower, parse_field("EXT Q [-1/2,0,1]"), big):
+        u = tuple(_random_element(field, rng).value for _ in range(3))
+        v = tuple(_random_element(field, rng).value for _ in range(3))
+        assert field._cross(u, v) == Field._cross(field, u, v)
+        assert field._kernel is None
+    monkeypatch.undo()
+    gf256 = ExtensionField(PrimeField(2), [1, 0, 1, 1, 1, 0, 0, 0, 1])  # x^8+x^4+x^3+x^2+1
+    assert gf256.order == ZECH_MAX_ORDER and gf256._kernel is not None
+    # a reducible modulus let in unchecked has no primitive element
+    assert ExtensionField(PrimeField(2), [1, 0, 1], assume_irreducible=True)._kernel is None
