@@ -21,7 +21,7 @@ from .errors import (
     SingleLine,
 )
 from .fields import RationalField
-from .projective import ProjLine, ProjPoint, incident, meet
+from .projective import ProjLine, ProjPoint, meet
 
 KEEP_ORIGINAL_POINTS = "keep_original_points"
 RESTRICT_TO_NEW_SINGULAR = "restrict_to_new_singular"
@@ -278,11 +278,20 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     )
 
 
+def multiplicities(arr: CoordArrangement, points) -> list[int]:
+    """Number of arrangement lines through each of the points (0, 1, or
+    more), counted in one pass of the field's incidence hook."""
+    field = arr.field
+    points = tuple(points)
+    for p in points:
+        if p.field != field:
+            raise FieldMismatch("point and arrangement over different fields")
+    return field._incidences([p._r for p in points], [l._r for l in arr.lines])
+
+
 def multiplicity(arr: CoordArrangement, point: ProjPoint) -> int:
     """Number of arrangement lines through the point (0, 1, or more)."""
-    if point.field != arr.field:
-        raise FieldMismatch("point and arrangement over different fields")
-    return sum(1 for l in arr.lines if incident(point, l))
+    return multiplicities(arr, (point,))[0]
 
 
 def _derive_profile(inc: IncidenceStructure):
@@ -317,7 +326,7 @@ def spectrum_of(inc: IncidenceStructure) -> Spectrum:
 def restrict_to_singular(points, arr: CoordArrangement) -> PointSet:
     """The subset of the given points that are singular for the arrangement."""
     pts = points.points if isinstance(points, PointSet) else tuple(points)
-    kept = [p for p in pts if multiplicity(arr, p) >= 2]
+    kept = [p for p, m in zip(pts, multiplicities(arr, pts)) if m >= 2]
     if not kept:
         raise EmptyResult("no singular points among the given ones")
     return PointSet(kept)

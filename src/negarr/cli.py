@@ -61,8 +61,8 @@ from .arrangement import (
     PointSet,
     Spectrum,
     equidistribution,
+    multiplicities,
     remove_lines,
-    restrict_to_singular,
     singular_points,
     spectrum_of,
 )
@@ -86,6 +86,7 @@ from .negativity import (
     h_at_points,
     h_curve,
     h_full,
+    h_of_multiplicities,
     h_quadratic,
     main_bound_case,
     mean_multiplicity_bound,
@@ -407,15 +408,17 @@ def _analyze_points(args, inp: InputFile) -> int:
     if pts_inp.kind != "points":
         raise ParseError(f"{args.points} is not a points file")
     arr, pts = inp.arrangement, pts_inp.points
-    given = h_at_points(arr, pts)
+    counts = multiplicities(arr, pts)
+    given = h_of_multiplicities(arr.d, counts)
     h = {"given points": given}
     notes = []
-    try:
-        restricted = h_at_points(arr, restrict_to_singular(pts, arr))
+    singular = [m for m in counts if m >= 2]
+    if singular:
+        restricted = h_of_multiplicities(arr.d, singular)
         h["restricted to singular points"] = restricted
         if given.h <= -1 and restricted.h <= given.h:
             notes.append("restriction to singular points did not increase H")
-    except EmptyResult:
+    else:
         notes.append("none of the given points is singular")
     lines = [f"{_input_line(args.path, inp)}, {len(pts)} given points"]
     lines.extend(_h_text(f"H {label}", rep) for label, rep in h.items())

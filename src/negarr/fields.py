@@ -241,6 +241,13 @@ class Field:
                                 sub(mul(c1, a2), mul(c2, a1)),
                                 sub(mul(a1, b2), mul(a2, b1))))
 
+    def _incidences(self, points, lines):
+        """For each triple of point reps, how many of the triples of line
+        reps vanish at it."""
+        mul, add, is_zero = self._mul, self._add, self._is_zero
+        return [sum(1 for a, b, c in lines if is_zero(add(add(mul(a, x), mul(b, y)), mul(c, z))))
+                for x, y, z in points]
+
     def format_rep(self, a):
         return str(a)
 
@@ -291,15 +298,16 @@ class RationalField(Field):
 
     def _cross(self, u, v):
         # Each triple is scaled to integers, so the products are ints and
-        # only the two quotients of the result are Fractions.  u and v are
-        # not proportional, so x, y and z are not all zero.
+        # only the two quotients of the result are Fractions.
         (a1, b1, c1), (a2, b2, c2) = _integral(u), _integral(v)
         x, y, z = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
         if x:
             return (_ONE, Fraction(y, x), Fraction(z, x))
         if y:
             return (_ZERO, _ONE, Fraction(z, y))
-        return (_ZERO, _ZERO, _ONE)
+        if z:
+            return (_ZERO, _ZERO, _ONE)
+        raise ValueError("projective triple must have a nonzero coordinate")
 
     def parse_rep(self, token):
         try:
@@ -352,6 +360,30 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero(f"division by zero in {self}")
         return pow(a, self.p - 2, self.p)
+
+    def _canonical(self, reps):
+        # reps are reduced residues; scale them to a leftmost one.
+        x, y, z = reps
+        p = self.p
+        if x:
+            scale = pow(x, p - 2, p)
+            return (1, y * scale % p, z * scale % p)
+        if y:
+            return (0, 1, z * pow(y, p - 2, p) % p)
+        if z:
+            return (0, 0, 1)
+        raise ValueError("projective triple must have a nonzero coordinate")
+
+    def _cross(self, u, v):
+        (a1, b1, c1), (a2, b2, c2) = u, v
+        p = self.p
+        return self._canonical(((b1 * c2 - b2 * c1) % p, (c1 * a2 - c2 * a1) % p,
+                                (a1 * b2 - a2 * b1) % p))
+
+    def _incidences(self, points, lines):
+        p = self.p
+        return [sum(1 for a, b, c in lines if not (a * x + b * y + c * z) % p)
+                for x, y, z in points]
 
     def parse_rep(self, token):
         return int(token) % self.p

@@ -21,7 +21,7 @@ from .arrangement import (
     IncidenceStructure,
     PointSet,
     Spectrum,
-    multiplicity,
+    multiplicities,
 )
 from .errors import (
     BadMultiplicity,
@@ -105,7 +105,7 @@ def _report(d, s, sum_m, sum_m_sq, formula) -> HReport:
                    mbar=Fraction(sum_m, s), formula=formula)
 
 
-def _quadratic(d, mults) -> HReport:
+def h_of_multiplicities(d, mults) -> HReport:
     """Quadratic-form H of d lines over points of the given multiplicities."""
     return _report(d, len(mults), sum(mults), sum(m * m for m in mults), FORMULA_GENERAL)
 
@@ -121,7 +121,7 @@ def h_at_points(arr: CoordArrangement, points) -> HReport:
     Multiplicities 0 and 1 are allowed; they simply contribute to s.
     """
     pts = points if isinstance(points, PointSet) else PointSet(points)
-    return _quadratic(arr.d, [multiplicity(arr, p) for p in pts])
+    return h_of_multiplicities(arr.d, multiplicities(arr, pts))
 
 
 def h_quadratic(inc: IncidenceStructure) -> HReport:
@@ -130,7 +130,7 @@ def h_quadratic(inc: IncidenceStructure) -> HReport:
     Intended for the keep-original-points result of a removal, where the
     structure is deliberately not the full singular locus.
     """
-    return _quadratic(inc.d, inc.multiplicities())
+    return h_of_multiplicities(inc.d, inc.multiplicities())
 
 
 def h_full(x) -> HReport:
@@ -371,7 +371,7 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     new_spectrum = Spectrum(d_new, new_t, real=spec.real, complete=True,
                             field_order=spec.field_order)
     return PairRemovalReport(meeting_multiplicity=m,
-                             over_original=_quadratic(d_new, list(new_counts.elements())),
+                             over_original=h_of_multiplicities(d_new, list(new_counts.elements())),
                              over_new=h_full(new_spectrum),
                              new_spectrum=new_spectrum)
 

@@ -95,6 +95,4 @@ def incident(point: ProjPoint, line: ProjLine) -> bool:
     field = point.field
     if field != line.field:
         raise FieldMismatch(f"point over {field}, line over {line.field}")
-    (x, y, z), (a, b, c) = point._r, line._r
-    mul, add = field._mul, field._add
-    return field._is_zero(add(add(mul(a, x), mul(b, y)), mul(c, z)))
+    return field._incidences((point._r,), (line._r,)) == [1]

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import warnings
 
 import pytest
 
@@ -14,6 +16,7 @@ from negarr.arrangement import (
     Spectrum,
     abstract_spectrum,
     equidistribution,
+    multiplicities,
     multiplicity,
     remove_lines,
     restrict_to_singular,
@@ -30,11 +33,13 @@ from negarr.catalog import (
 from negarr.errors import (
     EmptyPointSet,
     EmptyResult,
+    FieldMismatch,
     IdentityViolation,
     NoIncidenceData,
     ProfileInconsistent,
     RemovingAll,
     SingleLine,
+    UnvalidatedModulusWarning,
 )
 from negarr.fields import (
     ExtensionField,
@@ -42,8 +47,10 @@ from negarr.fields import (
     PrimeField,
     RationalField,
     cyclotomic_field,
+    parse_field,
 )
-from negarr.projective import ProjLine, ProjPoint
+from negarr.negativity import h_at_points, h_of_multiplicities
+from negarr.projective import ProjLine, ProjPoint, incident
 
 Q = RationalField()
 
@@ -112,6 +119,8 @@ def test_multiplicity_lookup():
     assert multiplicity(arr, ProjPoint(Q, (0, 0, 1))) == 2
     assert multiplicity(arr, ProjPoint(Q, (1, 1, 1))) == 0
     assert multiplicity(arr, ProjPoint(Q, (1, 1, 0))) == 1
+    points = [ProjPoint(Q, t) for t in ((0, 0, 1), (1, 1, 1), (1, 1, 0))]
+    assert multiplicities(arr, (p for p in points)) == [2, 0, 1]
 
 
 def test_point_set_validation():
@@ -287,8 +296,56 @@ def test_member_sets_match_direct_multiplicity():
     for key, members in inc.points:
         assert multiplicity(arr, key) == len(members)
         for i in members:
-            from negarr.projective import incident
             assert incident(key, arr.lines[i])
+
+
+def _incidence_fields():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        tower = ExtensionField(gf4, [gf4.gen().value, [1], [1]])  # GF(16) over GF(4)
+    return {"q": Q, "gf13": PrimeField(13), "gf9": ExtensionField(PrimeField(3), [1, 0, 1]),
+            "cyclo5": cyclotomic_field(5), "gf4-tower": tower,
+            "ext-q": parse_field("EXT Q [-1/2,0,1]")}
+
+
+_INCIDENCE_FIELDS = _incidence_fields()
+
+
+@pytest.mark.parametrize("field", _INCIDENCE_FIELDS.values(), ids=_INCIDENCE_FIELDS)
+def test_multiplicities_match_per_pair_incidence(field):
+    rng = random.Random(field.key)
+    two = field.gen() if isinstance(field, ExtensionField) else field.element(2)
+    pool = [field.zero, field.one, -field.one, two]
+    triples = [t for t in itertools.product(pool, repeat=3) if any(t)]
+    points = sorted({ProjPoint(field, t) for t in triples}, key=ProjPoint.sort_key)
+    arr = CoordArrangement(rng.sample(sorted({ProjLine(field, t) for t in triples},
+                                             key=ProjLine.sort_key), 6))
+
+    def on(p, l):
+        (x, y, z), (a, b, c) = p.coords, l.coeffs
+        return not (a * x + b * y + c * z)
+
+    counts = multiplicities(arr, points)
+    assert counts == [sum(on(p, l) for l in arr.lines) for p in points]
+    assert counts == [sum(incident(p, l) for l in arr.lines) for p in points]
+    assert counts == [multiplicity(arr, p) for p in points]
+    assert {0, 1} <= set(counts) and max(counts) >= 2
+    singular = tuple(p for p, m in zip(points, counts) if m >= 2)
+    assert restrict_to_singular(points, arr).points == singular
+    assert h_at_points(arr, points) == h_of_multiplicities(arr.d, counts)
+
+    stranger = ProjPoint(PrimeField(7) if field != PrimeField(7) else Q, (1, 0, 0))
+    mismatch = "^point and arrangement over different fields$"
+    with pytest.raises(FieldMismatch, match=mismatch):
+        multiplicity(arr, stranger)
+    with pytest.raises(FieldMismatch, match=mismatch):
+        restrict_to_singular(points + [stranger], arr)
+    with pytest.raises(FieldMismatch, match=mismatch):
+        h_at_points(arr, [stranger])
+    with pytest.raises(FieldMismatch, match="^" + re.escape(
+            f"point over {stranger.field}, line over {field}") + "$"):
+        incident(stranger, arr.lines[0])
 
 
 def _reference_points(arr):

@@ -484,6 +484,10 @@ def _kernel_fields():
 
 
 _KERNEL_FIELDS = _kernel_fields()
+# Q and GF(p) meet on ints of their own; 10^19 + 51 is prime and below the
+# bound of the primality proof
+_INT_FIELDS = {**_KERNEL_FIELDS, "q": Q,
+               **{f"gf{p}": PrimeField(p) for p in (2, 3, 13, 10007, 10**19 + 51)}}
 
 
 def _outcome(fn, *args):
@@ -492,30 +496,35 @@ def _outcome(fn, *args):
         reps = fn(*args)
     except (ValueError, ReducibleModulus) as exc:
         return type(exc), str(exc)
-    return reps, [type(c) for r in reps for c in r]
+    return reps, [type(c) for r in reps for c in (r if isinstance(r, tuple) else (r,))]
 
 
 def _sparse_triple(field, rng):
     """Three random reps with about half their coefficients zero, so zero
     pivots, zero entries and proportional pairs all occur."""
+    base = field.base if isinstance(field, ExtensionField) else field
+
     def coefficient():
         if rng.random() < 0.5:
             return 0
-        if isinstance(field.base, PrimeField):
-            return rng.randrange(field.base.p)
+        if isinstance(base, PrimeField):
+            return rng.randrange(base.p)
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if base is field:
+        return tuple(field._coerce_rep(coefficient()) for _ in range(3))
     return tuple(field._coerce_rep([coefficient() for _ in range(field.degree)])
                  for _ in range(3))
 
 
-@pytest.mark.parametrize("field", _KERNEL_FIELDS.values(), ids=_KERNEL_FIELDS)
+@pytest.mark.parametrize("field", _INT_FIELDS.values(), ids=_INT_FIELDS)
 def test_int_kernels_match_generic_path(field):
-    assert field._kernel is not None
+    assert not isinstance(field, ExtensionField) or field._kernel is not None
     rng = random.Random(field.key)
     for _ in range(400):
         u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
         assert _outcome(field._canonical, u) == _outcome(Field._canonical, field, u)
         assert _outcome(field._cross, u, v) == _outcome(Field._cross, field, u, v)
+        assert _outcome(field._cross, u, u) == _outcome(Field._cross, field, u, u)
 
 
 def test_reducible_integral_modulus_fails_alike():
