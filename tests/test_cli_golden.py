@@ -37,6 +37,7 @@ CASES = {
     "analyze-points-none-singular": ["analyze", "{in}/tri.txt", "--points", "{in}/points-miss.txt"],
     "analyze-points-gfp": ["analyze", "{in}/gf3-lines.txt", "--points", "{in}/points-gf3.txt"],
     "analyze-points-ext-gf2": ["analyze", "{in}/gf4-lines.txt", "--points", "{in}/points-gf4.txt"],
+    "analyze-points-q": ["analyze", "{in}/q-lines.txt", "--points", "{in}/points-q.txt"],
     # subconfig --remove
     "remove-equidistributed": ["subconfig", "{in}/fermat3.txt", "--remove", "0"],
     "remove-varying": ["subconfig", "{in}/kgon4.txt", "--remove", "0,5"],
