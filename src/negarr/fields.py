@@ -11,7 +11,7 @@ import itertools
 import warnings
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -225,7 +225,8 @@ class Field:
         return a == 0
 
     def _canonical(self, reps):
-        """A triple of reps scaled so that its leftmost nonzero entry is one."""
+        """The stored form of a triple of reps: by default, scaled so that its
+        leftmost nonzero entry is one."""
         for i, r in enumerate(reps):
             if not self._is_zero(r):
                 scale = self._inv(r)
@@ -248,14 +249,27 @@ class Field:
         return [sum(1 for a, b, c in lines if is_zero(add(add(mul(a, x), mul(b, y)), mul(c, z))))
                 for x, y, z in points]
 
+    def _affine(self, reps):
+        """The reps of a stored triple scaled so that its leftmost nonzero
+        entry is one: what coords, coeffs and repr show."""
+        return reps
+
+    def _triple_key(self, reps):
+        """The sort key of a stored triple: sort_key_rep of each entry of its
+        _affine view."""
+        key = self.sort_key_rep
+        return tuple(key(r) for r in reps)
+
     def format_rep(self, a):
         return str(a)
 
     # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, parse_rep (the
-    # inverse of format_rep), sort_key_rep, describe
+    # inverse of format_rep), sort_key_rep, describe; a field that stores
+    # triples in another form than _canonical's default (Q) also overrides
+    # _affine and _triple_key
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _integral(t):
@@ -267,8 +281,24 @@ def _integral(t):
             c.numerator * (m // c.denominator))
 
 
+def _primitive(x, y, z):
+    """The int triple divided by the gcd of its entries and signed so that
+    its leftmost nonzero entry is positive."""
+    g = gcd(x, y, z)
+    if not g:
+        raise ValueError("projective triple must have a nonzero coordinate")
+    if (x or y or z) < 0:
+        g = -g
+    return (x // g, y // g, z // g)
+
+
 class RationalField(Field):
-    """The rational numbers, represented as Fraction values."""
+    """The rational numbers, represented as Fraction values.
+
+    A projective triple over Q is stored as its primitive int triple (see
+    _primitive), so meets, incidences and sort keys run on plain ints;
+    _affine gives the Fraction view with a leftmost one.
+    """
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
@@ -296,18 +326,27 @@ class RationalField(Field):
             raise DivisionByZero("division by zero in Q")
         return 1 / a
 
+    def _canonical(self, reps):
+        return _primitive(*_integral(reps))
+
     def _cross(self, u, v):
-        # Each triple is scaled to integers, so the products are ints and
-        # only the two quotients of the result are Fractions.
-        (a1, b1, c1), (a2, b2, c2) = _integral(u), _integral(v)
-        x, y, z = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
-        if x:
-            return (_ONE, Fraction(y, x), Fraction(z, x))
-        if y:
-            return (_ZERO, _ONE, Fraction(z, y))
-        if z:
-            return (_ZERO, _ZERO, _ONE)
-        raise ValueError("projective triple must have a nonzero coordinate")
+        (a1, b1, c1), (a2, b2, c2) = u, v
+        return _primitive(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
+
+    def _incidences(self, points, lines):
+        return [sum(1 for a, b, c in lines if not a * x + b * y + c * z)
+                for x, y, z in points]
+
+    def _affine(self, reps):
+        pivot = reps[0] or reps[1] or reps[2]
+        return tuple(Fraction(r, pivot) for r in reps)
+
+    def _triple_key(self, reps):
+        # (numerator, denominator) of each entry over the positive pivot
+        x, y, z = reps
+        p = x or y or z
+        gx, gy, gz = gcd(p, x), gcd(p, y), gcd(p, z)
+        return ((x // gx, p // gx), (y // gy, p // gy), (z // gz, p // gz))
 
     def parse_rep(self, token):
         try:

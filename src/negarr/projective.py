@@ -1,9 +1,12 @@
 """Points and lines of the projective plane over an exact field.
 
-Homogeneous triples are stored in canonical form: the leftmost nonzero
-coordinate is scaled to 1, so equality and hashing are structural.  A triple
-keeps its field and the raw representations only, and all arithmetic runs on
-those; coords and coeffs wrap them in FieldElements when read.
+Homogeneous triples are stored in the canonical form of their field's
+_canonical hook, so equality and hashing are structural: the leftmost nonzero
+coordinate scaled to 1, or over Q the primitive integer triple (gcd 1, the
+leftmost nonzero entry positive).  A triple keeps its field and the raw
+representations only, and all arithmetic runs on those; coords, coeffs and
+repr show the field's _affine view of them, with a leftmost 1, and sort_key
+is the field's _triple_key.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from .fields import Field, FieldElement
 class _Triple:
     """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it.
 
-    _r holds the canonical raw representations.
+    _r holds the canonical raw representations (primitive ints over Q);
+    coords, coeffs and repr read them through field._affine.
     """
 
     __slots__ = ("field", "_r")
@@ -37,7 +41,7 @@ class _Triple:
 
     def _elements(self):
         field = self.field
-        return tuple(FieldElement(field, r) for r in self._r)
+        return tuple(FieldElement(field, r) for r in field._affine(self._r))
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and other._r == self._r
@@ -47,12 +51,12 @@ class _Triple:
         return hash((self._brackets, self._r))  # points and lines hash apart
 
     def __repr__(self):
-        fmt = self.field.format_rep
-        return self._brackets[0] + ":".join(fmt(r) for r in self._r) + self._brackets[1]
+        field = self.field
+        body = ":".join(field.format_rep(r) for r in field._affine(self._r))
+        return self._brackets[0] + body + self._brackets[1]
 
     def sort_key(self):
-        key = self.field.sort_key_rep
-        return tuple(key(r) for r in self._r)
+        return self.field._triple_key(self._r)
 
 
 class ProjPoint(_Triple):

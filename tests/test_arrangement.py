@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -349,17 +350,18 @@ def test_multiplicities_match_per_pair_incidence(field):
 
 
 def _reference_points(arr):
-    """The singular locus from all C(d,2) pairs, met and scaled by the
-    FieldElement formula, so no int kernel takes part."""
+    """The singular locus from all C(d,2) pairs as (coords, member set), met
+    and scaled to a leftmost one by the FieldElement formula and ordered by
+    sort_key_rep of those values, so no int kernel takes part."""
     acc = {}
     for i, j in itertools.combinations(range(arr.d), 2):
         (a1, b1, c1), (a2, b2, c2) = arr.lines[i].coeffs, arr.lines[j].coeffs
         t = (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
         pivot = next(x for x in t if x)
-        p = ProjPoint._of_canonical(arr.field, tuple((x / pivot).value for x in t))
-        acc.setdefault(p, set()).update((i, j))
-    ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
-    return tuple((p, frozenset(members)) for p, members in ordered)
+        acc.setdefault(tuple(x / pivot for x in t), set()).update((i, j))
+    key = arr.field.sort_key_rep
+    ordered = sorted(acc.items(), key=lambda kv: tuple(key(x.value) for x in kv[0]))
+    return tuple((coords, frozenset(members)) for coords, members in ordered)
 
 
 def _random_arrangement(rng, field, d, entry):
@@ -394,6 +396,14 @@ def _differential_inputs():
         field = ExtensionField(PrimeField(p), modulus)
         pool = [field.zero, field.one] + rng.sample(list(field.iter_elements()), 4)
         out[f"gf{q}"] = _random_arrangement(rng, field, 18, lambda: rng.choice(pool))
+
+    def large():
+        """Zero, or up to 10^12 over up to 10^6 of either sign: gcd and sign
+        normalisation of the primitive triples over Q."""
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6))
+    out["q-large"] = _random_arrangement(rng, Q, 14, large)
     out["fermat4"] = gen_fermat(4)
     out["generic"] = gen_generic(8)
     out["pencil"] = gen_pencil(7)
@@ -417,6 +427,7 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
     monkeypatch.setattr(negarr.arrangement, "meet", counted)
     inc = singular_points(arr)
     reference = _reference_points(arr)
-    assert inc.points == reference
-    assert [repr(p) for p, _ in inc.points] == [repr(p) for p, _ in reference]
+    assert [(p.coords, members) for p, members in inc.points] == list(reference)
+    assert [repr(p) for p, _ in inc.points] == [
+        "[" + ":".join(map(repr, coords)) + "]" for coords, _ in reference]
     assert len(calls) == sum(len(members) - 1 for _, members in reference)

@@ -32,7 +32,7 @@ from negarr.fields import (
     parse_field,
     prime_power,
 )
-from negarr.fields import _has_rational_root
+from negarr.fields import _has_rational_root, _primitive
 
 Q = RationalField()
 
@@ -516,15 +516,86 @@ def _sparse_triple(field, rng):
                  for _ in range(3))
 
 
+def _generic_cross(field, u, v):
+    """Field._cross with Field._canonical in place of the field's own: the
+    cross product by _mul and _sub, divided by its pivot, on no int kernel."""
+    (a1, b1, c1), (a2, b2, c2) = u, v
+    mul, sub = field._mul, field._sub
+    return Field._canonical(field, (sub(mul(b1, c2), mul(b2, c1)),
+                                    sub(mul(c1, a2), mul(c2, a1)),
+                                    sub(mul(a1, b2), mul(a2, b1))))
+
+
+def _stored(field, u):
+    """The reps that _cross takes for the triple u: over Q its primitive
+    ints (the zero triple as ints), elsewhere u itself."""
+    if field != Q:
+        return u
+    return field._canonical(u) if any(u) else (0, 0, 0)
+
+
 @pytest.mark.parametrize("field", _INT_FIELDS.values(), ids=_INT_FIELDS)
 def test_int_kernels_match_generic_path(field):
     assert not isinstance(field, ExtensionField) or field._kernel is not None
     rng = random.Random(field.key)
+
+    def canonical(u):
+        return field._affine(field._canonical(u))
+
+    def cross(u, v):
+        return field._affine(field._cross(u, v))
+
     for _ in range(400):
         u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
-        assert _outcome(field._canonical, u) == _outcome(Field._canonical, field, u)
-        assert _outcome(field._cross, u, v) == _outcome(Field._cross, field, u, v)
-        assert _outcome(field._cross, u, u) == _outcome(Field._cross, field, u, u)
+        su, sv = _stored(field, u), _stored(field, v)
+        assert _outcome(canonical, u) == _outcome(Field._canonical, field, u)
+        assert _outcome(cross, su, sv) == _outcome(_generic_cross, field, u, v)
+        assert _outcome(field._cross, su, su) == _outcome(_generic_cross, field, u, u)
+
+
+def _large_rational(rng):
+    """Zero one time in four, else up to 10^12 over up to 10^6, either sign."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6))
+
+
+def test_primitive_triples_and_their_sort_keys():
+    rng = random.Random(12)
+    for _ in range(2000):
+        t = tuple(_large_rational(rng) for _ in range(3))
+        if not any(t):
+            with pytest.raises(ValueError, match="nonzero coordinate"):
+                Q._canonical(t)
+            continue
+        stored = Q._canonical(t)
+        assert all(type(r) is int for r in stored)
+        assert math.gcd(*stored) == 1 and next(r for r in stored if r) > 0
+        affine = Field._canonical(Q, t)
+        assert Q._affine(stored) == affine
+        assert Q._triple_key(stored) == tuple(Q.sort_key_rep(r) for r in affine)
+        scale = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        assert _primitive(*(scale * r for r in stored)) == stored
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        _primitive(0, 0, 0)
+
+
+def test_rational_incidences_match_generic_path():
+    rng = random.Random(13)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    triples = (tuple(entry() for _ in range(3)) for _ in range(60))
+    stored = list(dict.fromkeys(Q._canonical(t) for t in triples if any(t)))
+    # lines through pairs of the points, so incidences occur, and random ones
+    lines = [Q._cross(*rng.sample(stored, 2)) for _ in range(15)]
+    lines += [Q._canonical(t) for t in (tuple(_large_rational(rng) for _ in range(3))
+                                        for _ in range(15)) if any(t)]
+    counts = Q._incidences(stored, lines)
+    assert counts == Field._incidences(Q, [Q._affine(p) for p in stored],
+                                       [Q._affine(l) for l in lines])
+    assert sum(counts) >= 30 and max(counts) >= 2
 
 
 def test_reducible_integral_modulus_fails_alike():
@@ -539,7 +610,7 @@ def test_reducible_integral_modulus_fails_alike():
     for _ in range(400):
         u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
         got = _outcome(field._cross, u, v)
-        assert got == _outcome(Field._cross, field, u, v)
+        assert got == _outcome(_generic_cross, field, u, v)
         outcomes.add(got[0] if got[0] in (ValueError, ReducibleModulus) else "point")
     assert outcomes == {ValueError, ReducibleModulus, "point"}
 
