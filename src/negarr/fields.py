@@ -258,7 +258,7 @@ class Field:
         """The sort key of a stored triple: sort_key_rep of each entry of its
         _affine view."""
         key = self.sort_key_rep
-        return tuple(key(r) for r in reps)
+        return tuple(key(r) for r in self._affine(reps))
 
     def format_rep(self, a):
         return str(a)
@@ -266,7 +266,7 @@ class Field:
     # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, parse_rep (the
     # inverse of format_rep), sort_key_rep, describe; a field that stores
     # triples in another form than _canonical's default (Q) also overrides
-    # _affine and _triple_key
+    # _affine, and may override _triple_key to read the key off that form
 
 
 _ZERO = Fraction(0)
@@ -296,8 +296,8 @@ class RationalField(Field):
     """The rational numbers, represented as Fraction values.
 
     A projective triple over Q is stored as its primitive int triple (see
-    _primitive), so meets, incidences and sort keys run on plain ints;
-    _affine gives the Fraction view with a leftmost one.
+    _primitive), so meets, sort keys and the generic incidence count run on
+    plain ints; _affine gives the Fraction view with a leftmost one.
     """
 
     def _coerce_rep(self, v):
@@ -332,10 +332,6 @@ class RationalField(Field):
     def _cross(self, u, v):
         (a1, b1, c1), (a2, b2, c2) = u, v
         return _primitive(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
-
-    def _incidences(self, points, lines):
-        return [sum(1 for a, b, c in lines if not a * x + b * y + c * z)
-                for x, y, z in points]
 
     def _affine(self, reps):
         pivot = reps[0] or reps[1] or reps[2]

@@ -580,7 +580,9 @@ def test_primitive_triples_and_their_sort_keys():
         _primitive(0, 0, 0)
 
 
-def test_rational_incidences_match_generic_path():
+def test_rational_incidences_on_ints_match_fraction_views():
+    """Q counts incidences with the generic Field body on its stored int
+    triples; the counts equal those on the pivot-one Fraction views."""
     rng = random.Random(13)
 
     def entry():
