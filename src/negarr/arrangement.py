@@ -21,10 +21,24 @@ from .errors import (
     SingleLine,
 )
 from .fields import RationalField
-from .projective import ProjLine, ProjPoint, meet
+from .projective import ProjPoint, meet
 
 KEEP_ORIGINAL_POINTS = "keep_original_points"
 RESTRICT_TO_NEW_SINGULAR = "restrict_to_new_singular"
+
+
+def _distinct_over_one_field(items, kind: str, empty: Exception) -> tuple:
+    """The items as a tuple, checked nonempty (else raise empty), over one
+    field and pairwise distinct; kind ("points" or "lines") names them."""
+    items = tuple(items)
+    if not items:
+        raise empty
+    field = items[0].field
+    if any(x.field != field for x in items):
+        raise FieldMismatch(f"{kind} over different fields")
+    if len(set(items)) != len(items):
+        raise ValueError(f"{kind} must be pairwise distinct")
+    return items
 
 
 class PointSet:
@@ -33,16 +47,8 @@ class PointSet:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple(points)
-        if not pts:
-            raise EmptyPointSet("point set is empty")
-        field = pts[0].field
-        for p in pts:
-            if p.field != field:
-                raise FieldMismatch("points over different fields")
-        if len(set(pts)) != len(pts):
-            raise ValueError("points must be pairwise distinct")
-        self.points = pts
+        self.points = _distinct_over_one_field(
+            points, "points", EmptyPointSet("point set is empty"))
 
     @property
     def field(self):
@@ -68,23 +74,11 @@ class CoordArrangement:
 
     __slots__ = ("field", "lines", "real")
 
-    def __init__(self, lines, real=None):
-        lines = tuple(lines)
-        if not lines:
-            raise ValueError("arrangement needs at least one line")
-        field = lines[0].field
-        for l in lines:
-            if l.field != field:
-                raise FieldMismatch("lines over different fields")
-        if len(set(lines)) != len(lines):
-            raise ValueError("lines must be pairwise distinct")
-        self.field = field
-        self.lines = lines
-        if isinstance(field, RationalField):
-            real = True
-        elif real is None:
-            real = False
-        self.real = bool(real)
+    def __init__(self, lines, real=False):
+        self.lines = _distinct_over_one_field(
+            lines, "lines", ValueError("arrangement needs at least one line"))
+        self.field = self.lines[0].field
+        self.real = bool(real) or isinstance(self.field, RationalField)
 
     @property
     def d(self) -> int:
@@ -233,11 +227,8 @@ class Spectrum:
         return f"Spectrum(d={self.d}, t={self.t}, real={self.real}, complete={self.complete})"
 
 
-def abstract_spectrum(d, t, *, real=False, complete=True, profile=None,
-                      field_order=None) -> Spectrum:
-    """Validated spectrum from raw counts (no coordinates behind it)."""
-    return Spectrum(d, t, real=real, complete=complete, profile=profile,
-                    field_order=field_order)
+# A validated spectrum from raw counts, with no coordinates behind it.
+abstract_spectrum = Spectrum
 
 
 def singular_points(arr: CoordArrangement) -> IncidenceStructure:

@@ -140,8 +140,10 @@ def gen_kgon_mirror(k: int) -> Spectrum:
     return Spectrum(2 * k, t, real=True, complete=True)
 
 
-def gen_kgon_mirror_coords() -> CoordArrangement:
+def gen_kgon_mirror_coords(k: int) -> CoordArrangement:
     """Rational coordinates for the k = 4 case: the square with its mirrors."""
+    if k != 4:
+        raise BadParameter("rational coordinates are only provided for k = 4")
     q = RationalField()
     lines = [
         ProjLine(q, (1, 0, -1)),
@@ -284,7 +286,7 @@ CATALOG = {
     "kgon": CatalogEntry("kgon", ("k",), "spectrum",
                          gen_kgon_mirror, _h_kgon,
                          lambda k: dict(gen_kgon_mirror(k).t),
-                         coords=lambda k: _kgon_coords(k)),
+                         coords=gen_kgon_mirror_coords),
     "boroczky": CatalogEntry("boroczky", ("k",), "spectrum",
                              gen_boroczky, _h_boroczky,
                              lambda k: dict(gen_boroczky(k).t),
@@ -299,12 +301,6 @@ CATALOG = {
                           gen_wiman, lambda: Fraction(-225, 67),
                           lambda: dict(gen_wiman().t)),
 }
-
-
-def _kgon_coords(k: int) -> CoordArrangement:
-    if k != 4:
-        raise BadParameter("rational coordinates are only provided for k = 4")
-    return gen_kgon_mirror_coords()
 
 
 def catalog_entry(name: str) -> CatalogEntry:

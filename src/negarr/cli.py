@@ -74,7 +74,6 @@ from .errors import (
     NoIncidenceData,
     NotEquidistributed,
     ParseError,
-    RemovingAll,
     SearchTooLarge,
 )
 from .fields import Field, RationalField, parse_field, prime_power
@@ -149,18 +148,13 @@ def parse_input(text: str) -> InputFile:
                 raise ParseError(f"expected 'spectrum d=N', got {line!r}")
             _once(spec_d is not None, "spectrum row")
             spec_d = _int_of(tokens[1][2:], "line count")
-        elif key == "t":
+        elif key in ("t", "profile"):
             if len(tokens) != 3:
-                raise ParseError(f"expected 't K COUNT', got {line!r}")
+                raise ParseError(f"expected '{key} K COUNT', got {line!r}")
+            counts = t if key == "t" else profile
             k = _int_of(tokens[1], "multiplicity")
-            _once(k in t, f"t row for multiplicity {k}")
-            t[k] = _int_of(tokens[2], "count")
-        elif key == "profile":
-            if len(tokens) != 3:
-                raise ParseError(f"expected 'profile K COUNT', got {line!r}")
-            k = _int_of(tokens[1], "multiplicity")
-            _once(k in profile, f"profile row for multiplicity {k}")
-            profile[k] = _int_of(tokens[2], "count")
+            _once(k in counts, f"{key} row for multiplicity {k}")
+            counts[k] = _int_of(tokens[2], "count")
         elif key == "flags":
             _once(flagged, "flags row, listing every flag")
             flagged = True
@@ -255,11 +249,8 @@ def render_coords(arr: CoordArrangement, notes=()) -> str:
 
 def render_spectrum(sp: Spectrum, notes=()) -> str:
     rows = [f"spectrum d={sp.d}"]
-    for k, v in sorted(sp.t.items()):
-        rows.append(f"t {k} {v}")
-    if sp.profile:
-        for k, v in sorted(sp.profile.items()):
-            rows.append(f"profile {k} {v}")
+    for key, counts in (("t", sp.t), ("profile", sp.profile or {})):
+        rows.extend(f"{key} {k} {v}" for k, v in sorted(counts.items()))
     flags = ["flags"]
     if sp.real:
         flags.append("real")
@@ -334,7 +325,15 @@ def _locus(inp: InputFile):
         inc = singular_points(inp.arrangement)
         return inc, spectrum_of(inc), equidistribution(inc)
     sp = inp.spectrum
-    return None, sp, sum(sp.profile.values()) if sp.profile else None
+    return None, sp, None if sp.profile is None else equidistribution(sp)
+
+
+def _coordinates(inp: InputFile, need: str) -> CoordArrangement:
+    """The arrangement of a coordinates input; need says what asks for it."""
+    if inp.kind != "coordinates":
+        kind = "a bare spectrum" if inp.kind == "spectrum" else "a points file"
+        raise NoIncidenceData(f"{need}, not {kind}")
+    return inp.arrangement
 
 
 def _certificates(lines: list, payload: dict, certs, heading: str) -> int:
@@ -402,12 +401,11 @@ def cmd_generate(args) -> int:
 
 
 def _analyze_points(args, inp: InputFile) -> int:
-    if inp.kind != "coordinates":
-        raise ParseError("--points FILE needs a coordinates input, not a bare spectrum")
+    arr = _coordinates(inp, "--points FILE needs a coordinates input")
     pts_inp = read_input(args.points)
     if pts_inp.kind != "points":
         raise ParseError(f"{args.points} is not a points file")
-    arr, pts = inp.arrangement, pts_inp.points
+    pts = pts_inp.points
     counts = multiplicities(arr, pts)
     given = h_of_multiplicities(arr.d, counts)
     h = {"given points": given}
@@ -475,13 +473,9 @@ def _parse_indices(text: str, d: int):
 
 
 def _subconfig_remove(args, inp: InputFile) -> int:
-    if inp.kind != "coordinates":
-        raise NoIncidenceData("removal by line index needs coordinates, not a bare spectrum")
-    arr = inp.arrangement
+    arr = _coordinates(inp, "removal by line index needs coordinates")
     inc, sp0, per_line = _locus(inp)
     removed = _parse_indices(args.remove, arr.d)
-    if len(removed) == arr.d:
-        raise RemovingAll("cannot remove every line")
     kept = remove_lines(inc, removed, KEEP_ORIGINAL_POINTS)
     h_orig = h_quadratic(kept)
     d_new = arr.d - len(removed)
@@ -653,9 +647,7 @@ def _removals(inc, max_remove: int):
 
 def cmd_search(args) -> int:
     inp = read_input(args.path)
-    if inp.kind != "coordinates":
-        raise NoIncidenceData("search needs coordinates, not a bare spectrum")
-    arr = inp.arrangement
+    arr = _coordinates(inp, "search needs coordinates")
     d = arr.d
     max_remove = min(args.max_remove, d - 1)
     if max_remove < 1:

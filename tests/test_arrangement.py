@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import negarr
 import negarr.arrangement
 
 from negarr.arrangement import (
@@ -130,6 +131,40 @@ def test_point_set_validation():
     p = ProjPoint(Q, (1, 1, 1))
     with pytest.raises(ValueError):
         PointSet([p, ProjPoint(Q, (2, 2, 2))])
+
+
+def _raised(make, items):
+    with pytest.raises(Exception) as info:
+        make(items)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("make, element, kind, empty", [
+    (PointSet, ProjPoint, "points", (EmptyPointSet, "point set is empty")),
+    (CoordArrangement, ProjLine, "lines", (ValueError, "arrangement needs at least one line")),
+])
+def test_point_and_line_set_messages(make, element, kind, empty):
+    gf5 = PrimeField(5)
+    assert _raised(make, []) == empty
+    assert _raised(make, [element(Q, (1, 0, 0)), element(gf5, (0, 1, 0))]) == \
+        (FieldMismatch, f"{kind} over different fields")
+    assert _raised(make, [element(Q, (1, 0, 0)), element(Q, (0, 1, 0)),
+                          element(Q, (-2, 0, 0))]) == \
+        (ValueError, f"{kind} must be pairwise distinct")
+
+
+def test_real_flag_is_a_plain_bool_forced_over_q():
+    gf5 = PrimeField(5)
+    lines = [ProjLine(gf5, (1, 0, 0)), ProjLine(gf5, (0, 1, 0))]
+    assert CoordArrangement(lines).real is False
+    assert CoordArrangement(lines, real=True).real is True
+    assert CoordArrangement(_triangle().lines, real=False).real is True
+    assert CoordArrangement(lines, real=True).without([0]).real is True
+
+
+def test_abstract_spectrum_is_the_constructor():
+    assert abstract_spectrum is Spectrum
+    assert negarr.abstract_spectrum is negarr.Spectrum
 
 
 def test_restrict_to_singular():

@@ -110,7 +110,7 @@ def test_kgon_spectrum_and_coords():
     sp = gen_kgon_mirror(4)
     assert sp.t == {2: 4, 3: 6, 4: 1}
     assert sp.real and sp.complete
-    arr = gen_kgon_mirror_coords()
+    arr = gen_kgon_mirror_coords(4)
     assert spectrum_of(singular_points(arr)).t == sp.t
     with pytest.raises(BadParameter):
         catalog_entry("kgon").coords(5)

@@ -168,10 +168,26 @@ def test_analyze_points_needs_coordinates(tmp_path, capsys):
 def test_subconfig_rejects_points_file(tmp_path, capsys):
     f = tmp_path / "pts.txt"
     f.write_text("field Q\npoint 0 0 1\n")
-    for option in (("--formula", "3"), ("--pairs-meeting", "3")):
+    for option in (("--formula", "3"), ("--pairs-meeting", "3"), ("--remove", "0")):
         code, _, err = _run(capsys, "subconfig", str(f), *option)
         assert code == 2
         assert "points file" in err
+    code, _, err = _run(capsys, "search", str(f))
+    assert code == 2
+    assert "points file" in err
+
+
+def test_coordinates_gate_names_the_input_kind(tmp_path, capsys):
+    spectrum, points = tmp_path / "sp.txt", tmp_path / "pts.txt"
+    spectrum.write_text("spectrum d=9\nt 3 12\n")
+    points.write_text("field Q\npoint 0 0 1\n")
+    for path, kind in ((spectrum, "a bare spectrum"), (points, "a points file")):
+        assert _run(capsys, "search", str(path)) == \
+            (2, "", f"error: search needs coordinates, not {kind}\n")
+        assert _run(capsys, "subconfig", str(path), "--remove", "0") == \
+            (2, "", f"error: removal by line index needs coordinates, not {kind}\n")
+    assert _run(capsys, "analyze", str(spectrum), "--points", str(points)) == \
+        (2, "", "error: --points FILE needs a coordinates input, not a bare spectrum\n")
 
 
 # Makes the direct recomputation in `subconfig --remove` disagree with the
@@ -240,6 +256,14 @@ def test_subconfig_remove_all_rejected(tmp_path, capsys):
                         "--remove", ",".join(str(i) for i in range(9)))
     assert code == 2
     assert "every line" in err
+
+
+def test_subconfig_remove_every_line_message(tmp_path, capsys):
+    f = tmp_path / "tri.txt"
+    f.write_text(_TRI)
+    for removed in ("0,1,2", "2,1,0,1"):
+        assert _run(capsys, "subconfig", str(f), "--remove", removed) == \
+            (2, "", "error: cannot remove every line\n")
 
 
 def test_subconfig_pairs_meeting_consistency(tmp_path, capsys):
@@ -410,6 +434,15 @@ def test_input_error_messages(tmp_path, capsys):
     f.write_text("field GF 1000000000000000000000000000000\nline 1 0 0\nline 0 1 0\n")
     assert _run(capsys, "analyze", str(f)) == \
         (2, "", "error: 1000000000000000000000000000000 is not prime\n")
+
+
+def test_malformed_count_row_messages(tmp_path, capsys):
+    f = tmp_path / "in.txt"
+    for text, row in (("spectrum d=9\nt 3\n", "t 3"),
+                      (_SPEC + "profile 3 4 4\n", "profile 3 4 4")):
+        f.write_text(text)
+        assert _run(capsys, "analyze", str(f)) == \
+            (2, "", f"error: expected '{row.split()[0]} K COUNT', got {row!r}\n")
 
 
 def test_missing_file_is_input_error(capsys):
