@@ -262,7 +262,7 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
     return IncidenceStructure(
         range(arr.d),
-        [(p, frozenset(members)) for p, members in ordered],
+        ordered,
         complete=True,
         real=arr.real,
         field_order=arr.field.order,

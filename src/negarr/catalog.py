@@ -64,11 +64,8 @@ def gen_quasi_pencil(d: int) -> CoordArrangement:
     """d-1 concurrent lines plus one transversal."""
     if d < 3:
         raise BadSize("a quasi-pencil needs at least 3 lines")
-    q = RationalField()
-    lines = [ProjLine(q, (1, -i, 0)) for i in range(d - 2)]
-    lines.append(ProjLine(q, (0, 1, 0)))
-    lines.append(ProjLine(q, (0, 0, 1)))
-    return CoordArrangement(lines, real=True)
+    transversal = ProjLine(RationalField(), (0, 0, 1))
+    return CoordArrangement([*gen_pencil(d - 1).lines, transversal], real=True)
 
 
 def gen_fermat(n: int) -> CoordArrangement:

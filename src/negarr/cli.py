@@ -42,14 +42,13 @@ Exit codes: 0 all applicable certificates hold, 1 some applicable
 certificate fails, 2 input error, 3 internal inconsistency (two exact routes
 to the same value disagree, a defect in negarr rather than in the input).
 The search budget defaults to 10^7 candidate subsets and can be overridden
-with --budget or NEGARR_BUDGET.
+with --budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -653,8 +652,6 @@ def cmd_search(args) -> int:
     if max_remove < 1:
         raise ParseError("nothing to remove")
     budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("NEGARR_BUDGET", DEFAULT_BUDGET))
     total = sum(comb(d, j) for j in range(1, max_remove + 1))
     if total > budget:
         raise SearchTooLarge(f"{total} candidate subsets exceed the budget of {budget}")
@@ -751,8 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("search", help="minimize H over removal subsets")
     r.add_argument("path")
     r.add_argument("--max-remove", type=int, default=3, metavar="R")
-    r.add_argument("--budget", type=int, default=None,
-                   help=f"candidate limit (default {DEFAULT_BUDGET} or NEGARR_BUDGET)")
+    r.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"candidate limit (default {DEFAULT_BUDGET})")
     r.add_argument("--json", action="store_true")
     r.set_defaults(func=cmd_search)
     return parser

@@ -140,7 +140,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._mul(rep, self.field._inv(self.value)))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.value))
+        return self.field.zero - self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -263,8 +263,12 @@ class Field:
     def format_rep(self, a):
         return str(a)
 
-    # subclasses: _coerce_rep, _add, _sub, _mul, _neg, _inv, parse_rep (the
-    # inverse of format_rep), sort_key_rep, describe; a field that stores
+    def sort_key_rep(self, a):
+        return a
+
+    # subclasses: _coerce_rep, _add, _sub (negation is _sub from the zero
+    # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe, and
+    # sort_key_rep when the key is not the rep itself; a field that stores
     # triples in another form than _canonical's default (Q) also overrides
     # _affine, and may override _triple_key to read the key off that form
 
@@ -317,9 +321,6 @@ class RationalField(Field):
 
     def _mul(self, a, b):
         return a * b
-
-    def _neg(self, a):
-        return -a
 
     def _inv(self, a):
         if a == 0:
@@ -388,9 +389,6 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return (a * b) % self.p
 
-    def _neg(self, a):
-        return (-a) % self.p
-
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero(f"division by zero in {self}")
@@ -422,9 +420,6 @@ class PrimeField(Field):
 
     def parse_rep(self, token):
         return int(token) % self.p
-
-    def sort_key_rep(self, a):
-        return (a,)
 
     def describe(self):
         return f"GF {self.p}"
@@ -676,10 +671,6 @@ class ExtensionField(Field):
     def _sub(self, a, b):
         base = self.base
         return tuple(base._sub(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        base = self.base
-        return tuple(base._neg(x) for x in a)
 
     def _mul(self, a, b):
         prod = _pmul(self.base, list(a), list(b))

@@ -177,9 +177,11 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
     """t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k.
 
     Valid for arrangements over the complex numbers with no point on d or
-    d-1 of the lines and d >= 4; inapplicable otherwise, in particular over
-    positive characteristic.  A violation by an abstract spectrum certifies
-    that no complex line arrangement realizes it.
+    d-1 of the lines, which forces d >= 4: every complete spectrum with
+    d <= 3 is a pencil ({2:1}, {3:1}) or the triangle ({2:3}, a
+    quasi-pencil).  Inapplicable otherwise, in particular over positive
+    characteristic.  A violation by an abstract spectrum certifies that no
+    complex line arrangement realizes it.
     """
     _require_complete(spec)
     d, t = spec.d, spec.t
@@ -191,8 +193,6 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
         reason = "a point lies on every line (pencil)"
     elif t.get(d - 1, 0):
         reason = "a point lies on all lines but one (quasi-pencil)"
-    elif d < 4:
-        reason = "fewer than four lines"
     elif slack < 0:
         note = "violates the Hirzebruch inequality: not realizable as a complex line arrangement"
     if reason is None and spec.field_order is not None:

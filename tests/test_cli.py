@@ -327,18 +327,31 @@ def test_search_deterministic_tie_break(tmp_path, capsys):
     assert payload["best"]["removed"] == sorted(payload["best"]["removed"])
 
 
-def test_search_budget(tmp_path, capsys, monkeypatch):
+def test_search_budget(tmp_path, capsys):
     f = tmp_path / "p2.txt"
     _run(capsys, "generate", "pg2:2", "--out", str(f))
     code, _, err = _run(capsys, "search", str(f), "--max-remove", "6", "--budget", "10")
     assert code == 2
     assert "budget" in err
-    monkeypatch.setenv("NEGARR_BUDGET", "15")
-    code, _, err = _run(capsys, "search", str(f), "--max-remove", "2")
+    code, _, err = _run(capsys, "search", str(f), "--max-remove", "2", "--budget", "15")
     assert code == 2
     assert "budget of 15" in err
     code, out, _ = _run(capsys, "search", str(f), "--max-remove", "2", "--budget", "50")
     assert code == 0
+
+
+def test_search_options_ignore_the_environment(tmp_path, capsys, monkeypatch):
+    # reports are byte-deterministic for identical inputs and flags, so no
+    # environment variable named after an option may change a search
+    f = tmp_path / "p2.txt"
+    _run(capsys, "generate", "pg2:2", "--out", str(f))
+    plain = _run(capsys, "search", str(f), "--max-remove", "2")
+    for option in ("budget", "max_remove"):
+        monkeypatch.setenv(f"NEGARR_{option.upper()}", "15")
+    code, out, _ = _run(capsys, "search", str(f), "--max-remove", "2")
+    assert code == 0
+    assert "candidates: 28 within budget 10000000;" in out
+    assert (code, out) == plain[:2]
 
 
 def test_search_rejects_before_building_the_locus(tmp_path, capsys, monkeypatch):
@@ -434,6 +447,36 @@ def test_input_error_messages(tmp_path, capsys):
     f.write_text("field GF 1000000000000000000000000000000\nline 1 0 0\nline 0 1 0\n")
     assert _run(capsys, "analyze", str(f)) == \
         (2, "", "error: 1000000000000000000000000000000 is not prime\n")
+
+
+_Q_FIVE = "field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 1 1\nline 1 -1 0\n"
+_ERROR_MESSAGES = {
+    "no-coordinate-model": (None, ("generate", "cubicgroup:9,9", "--format", "coords"),
+                            "error: cubicgroup has no coordinate model\n"),
+    "points-file-is-coordinates": (_TRI, ("analyze", "{f}", "--points", "{f}"),
+                                   "error: {f} is not a points file\n"),
+    "bad-element-literal": ("field GF 7\nline [1 0 1\nline 0 1 0\n", ("analyze", "{f}"),
+                            "error: bad element literal '[1' for GF(7):"),
+    "profiles-differ": (_Q_FIVE, ("subconfig", "{f}", "--pairs-meeting", "2"),
+                        "error: per-line point profiles differ; "
+                        "profile-based pair removal unavailable\n"),
+    "spectrum-without-points": ("spectrum d=1\nt 2 0\n", ("analyze", "{f}"),
+                                "error: spectrum has no points\n"),
+}
+
+
+@pytest.mark.parametrize("text, argv, message", _ERROR_MESSAGES.values(), ids=_ERROR_MESSAGES)
+def test_error_messages_through_main(text, argv, message, tmp_path, capsys):
+    f = tmp_path / "in.txt"
+    if text is not None:
+        f.write_text(text)
+    code, out, err = _run(capsys, *(a.format(f=f) for a in argv))
+    assert (code, out) == (2, "")
+    message = message.format(f=f)
+    if message.endswith("\n"):
+        assert err == message
+    else:  # the rest is the Python parser's own wording
+        assert err.startswith(message)
 
 
 def test_malformed_count_row_messages(tmp_path, capsys):

@@ -12,7 +12,6 @@ After a deliberate change to a report, rewrite the golden files with
 
 import contextlib
 import io
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -85,14 +84,12 @@ def _golden_path(name, mode):
 
 @pytest.mark.parametrize("mode", ["text", "json"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_golden(name, mode, monkeypatch):
-    monkeypatch.delenv("NEGARR_BUDGET", raising=False)
+def test_cli_golden(name, mode):
     expected = _golden_path(name, mode).read_text(encoding="utf-8")
     assert _invoke(name, mode) == expected
 
 
 if __name__ == "__main__":
-    os.environ.pop("NEGARR_BUDGET", None)
     for name in sorted(CASES):
         for mode in ("text", "json"):
             _golden_path(name, mode).write_text(_invoke(name, mode), encoding="utf-8")

@@ -38,13 +38,15 @@ Q = RationalField()
 
 
 def _sample_fields():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnvalidatedModulusWarning)
         return [
             Q,
             PrimeField(2),
             PrimeField(7),
-            ExtensionField(PrimeField(2), [1, 1, 1]),  # GF(4)
+            gf4,
+            ExtensionField(gf4, [gf4.gen().value, [1], [1]]),  # GF(16) over GF(4)
             cyclotomic_field(3),
             cyclotomic_field(5),
         ]

@@ -130,6 +130,16 @@ def test_hirzebruch_inapplicable_cases():
     assert rep.note is not None  # structurally violated, flagged as advisory
 
 
+def test_hirzebruch_small_spectra_are_pencils_or_quasi_pencils():
+    # every complete spectrum with d <= 3 is caught before any bound on d
+    pencil = "a point lies on every line (pencil)"
+    quasi = "a point lies on all lines but one (quasi-pencil)"
+    for d, t, reason in ((2, {2: 1}, pencil), (3, {2: 3}, quasi), (3, {3: 1}, pencil)):
+        rep = hirzebruch_check(abstract_spectrum(d, t))
+        assert not rep.applicable
+        assert rep.reason == reason, (d, t)
+
+
 def test_hirzebruch_failure_signals_nonrealizability():
     ghost = abstract_spectrum(13, {4: 13})
     rep = hirzebruch_check(ghost)
