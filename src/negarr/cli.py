@@ -755,8 +755,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, since building it costs about 1 ms, most of a small
+# request.  Requests share nothing through it: parse_args returns a fresh
+# Namespace on every call and writes usage and help to sys.stdout/sys.stderr
+# as they are at that call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NegarrError, ValueError, OSError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -513,6 +514,94 @@ def test_module_entry_point(tmp_path):
     assert "t 3 4" in proc.stdout
     assert "note" in proc.stdout
 
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import; a request only parses with it
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    f = tmp_path / "f3.txt"
+    assert _run(capsys, "generate", "fermat:3", "--out", str(f))[0] == 0
+    for argv in (("analyze", str(f)), ("analyze", str(f), "--json"),
+                 ("subconfig", str(f), "--remove", "0"),
+                 ("search", str(f), "--max-remove", "1")):
+        assert _run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["search", str(f), "--max-remove", "x"])
+    assert built == []
+
+
+_USAGE_ERRORS = {
+    "no-subcommand": ((), "required: command"),
+    "subconfig-no-mode": (("subconfig", "{f}"),
+                          "one of the arguments --remove --pairs-meeting --formula is required"),
+    "subconfig-two-modes": (("subconfig", "{f}", "--remove", "0", "--formula", "3"),
+                            "not allowed with argument"),
+    "search-max-remove-not-int": (("search", "{f}", "--max-remove", "x"),
+                                  "invalid int value: 'x'"),
+    "generate-unknown-format": (("generate", "fermat:3", "--format", "svg"),
+                                "invalid choice: 'svg'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+def test_usage_errors(argv, message, tmp_path, capsys):
+    # argparse wraps usage at the terminal width, so only substrings are fixed
+    f = tmp_path / "tri.txt"
+    f.write_text(_TRI)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=f) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: negarr")
+    assert "error:" in captured.err
+    assert message in captured.err
+
+
+def test_rejected_budget_does_not_carry_over(tmp_path, capsys):
+    f = tmp_path / "f3.txt"
+    _run(capsys, "generate", "fermat:3", "--out", str(f))
+    code, out, err = _run(capsys, "search", str(f), "--budget", "5")
+    assert (code, out) == (2, "")
+    assert "budget of 5" in err
+    code, out, _ = _run(capsys, "search", str(f), "--max-remove", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["budget"] == 10_000_000
+
+
+def test_points_option_does_not_carry_over(tmp_path, capsys):
+    arr = tmp_path / "tri.txt"
+    arr.write_text("field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 -1 0\n")
+    pts = tmp_path / "pts.txt"
+    pts.write_text("field Q\npoint 0 0 1\npoint 1 1 1\n")
+    # the same request as the first of a fresh process
+    fresh = subprocess.run([sys.executable, "-m", "negarr", "analyze", str(arr)],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    code, out, _ = _run(capsys, "analyze", str(arr), "--points", str(pts))
+    assert code == 0
+    assert "H given points" in out
+    assert _run(capsys, "analyze", str(arr)) == (0, fresh.stdout, "")
+
+
+def test_help_between_requests(tmp_path, capsys):
+    f = tmp_path / "f3.txt"
+    _run(capsys, "generate", "fermat:3", "--out", str(f))
+    argv = ("search", str(f), "--max-remove", "1", "--json")
+    before = _run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: negarr")
+    assert captured.err == ""
+    assert _run(capsys, *argv) == before
 
 def test_spectrum_render_parse_round_trip():
     from negarr.arrangement import abstract_spectrum
