@@ -48,9 +48,9 @@ with --budget.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from .arrangement import (
@@ -266,12 +266,48 @@ def render_spectrum(sp: Spectrum, notes=()) -> str:
 # ---- report pieces ----
 #
 # Each command builds its report once: text lines plus a JSON payload holding
-# the exact objects, which only _json_default turns into JSON.
+# the exact objects.  _json writes a payload as JSON; _json_default gives the
+# shape of each exact report object and _json writes a Fraction itself.
+
+# type -> JSON text of a leaf.  Exact types only: bool is not looked up as int.
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(obj, nl: str = "\n") -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) returns, with a
+    Fraction as {"num": p, "den": q} and other report objects in the shape
+    _json_default gives.  Written directly, since with indent set Python before
+    3.13 runs the stdlib's pure-Python encoder.  nl is the newline and indent
+    of obj's own nesting level.  A float, a set or a non-str key raises
+    TypeError."""
+    kind = type(obj)
+    leaf = _JSON_LEAF.get(kind)
+    if leaf is not None:
+        return leaf(obj)
+    inner = nl + "  "
+    if kind is Fraction:
+        return f'{{{inner}"den": {obj.denominator},{inner}"num": {obj.numerator}{nl}}}'
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        items = [_json(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        return _json(_json_default(obj), nl)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
 
 def _json_default(obj):
-    """JSON form of the exact objects a report payload holds."""
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
+    """JSON form of the exact report objects other than Fraction."""
     if isinstance(obj, Spectrum):
         return {"d": obj.d, "s": obj.s, "t": sorted(obj.t.items()),
                 "profile": None if obj.profile is None else sorted(obj.profile.items()),
@@ -348,8 +384,7 @@ def _emit(args, lines: list, payload: dict, status: int = 0) -> int:
     """Write the report with its source and status, as text or JSON; return status."""
     if args.json:
         payload = {**payload, "source": args.path, "status": status}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2,
-                                    default=_json_default) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         status_line = f"status: {'ok' if status == 0 else 'certificate failure'}"
         sys.stdout.write("\n".join(lines + [status_line]) + "\n")
@@ -689,26 +724,26 @@ def cmd_search(args) -> int:
              f"candidates: {total} within budget {budget}; evaluated {evaluated}, "
              f"without singular points {no_singular}, "
              f"prunable by lower bound {prunable}"]
-    if best is None:
-        lines.append("no subarrangement retains a singular point")
-        payload = {"best": None, "evaluated": evaluated, "budget": budget}
-        return _emit(args, lines, payload)
-    num_best, s_best, combo = best
-    sp_best = spectrum_of(remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR))
-    h_best = h_full(sp_best).h
-    if h_best != Fraction(num_best, s_best):
-        raise InternalInconsistency(
-            f"incremental H of removal {list(combo)} disagrees with its rebuilt locus")
-    lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
-              f"H over new singular locus = {fmt_q(h_best)}",
-              _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]
     payload = {"objective": "min-h", "max_remove": max_remove, "budget": budget,
                "candidates": total, "evaluated": evaluated, "no_singular": no_singular,
-               "prunable": prunable,
-               "best": {"removed": list(combo), "d_new": d - len(combo),
-                        "h": h_best, "spectrum": sp_best}}
-    status = _certificates(lines, payload, certificates_for(sp_best),
-                           "certificates (best subarrangement):")
+               "prunable": prunable, "best": None}
+    certs = []
+    if best is None:
+        lines.append("no subarrangement retains a singular point")
+    else:
+        num_best, s_best, combo = best
+        sp_best = spectrum_of(remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR))
+        h_best = h_full(sp_best).h
+        if h_best != Fraction(num_best, s_best):
+            raise InternalInconsistency(
+                f"incremental H of removal {list(combo)} disagrees with its rebuilt locus")
+        lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
+                  f"H over new singular locus = {fmt_q(h_best)}",
+                  _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]
+        payload["best"] = {"removed": list(combo), "d_new": d - len(combo),
+                           "h": h_best, "spectrum": sp_best}
+        certs = certificates_for(sp_best)
+    status = _certificates(lines, payload, certs, "certificates (best subarrangement):")
     return _emit(args, lines, payload, status)
 
 

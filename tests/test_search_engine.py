@@ -22,7 +22,7 @@ from negarr.arrangement import (
     singular_points,
     spectrum_of,
 )
-from negarr.cli import _json_default, main, read_input
+from negarr.cli import _json, main, read_input
 from negarr.errors import EmptyResult
 from negarr.negativity import h_full, main_lower_bound
 
@@ -62,13 +62,13 @@ def _assert_agrees(path, max_remove):
     evaluated, no_singular, prunable, best = reference_search(path, max_remove)
     report = _cli_search(path, max_remove)
     assert report["evaluated"] == evaluated
+    assert report["no_singular"] == no_singular
+    assert report["prunable"] == prunable
     if best is None:
         assert report["best"] is None
         return
-    assert report["no_singular"] == no_singular
-    assert report["prunable"] == prunable
     h, combo, sp = best
-    expected = json.loads(json.dumps({"h": h, "spectrum": sp}, default=_json_default))
+    expected = json.loads(_json({"h": h, "spectrum": sp}))
     assert report["best"]["removed"] == list(combo)
     assert report["best"]["h"] == expected["h"]
     assert report["best"]["spectrum"] == expected["spectrum"]
@@ -77,6 +77,7 @@ def _assert_agrees(path, max_remove):
 CATALOG = [
     ("generic:6", 3),       # every candidate ties with several others
     ("pencil:5", 4),        # no singular point left, pencil bounds
+    ("pencil:2", 1),        # no removal keeps a singular point
     ("quasipencil:6", 5),   # quasi-pencil bounds, d' = 2 and d' = 1
     ("pg2:3", 3),           # GF(3)
     ("pg2:4", 3),           # GF(4), an extension field
