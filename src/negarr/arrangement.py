@@ -69,7 +69,8 @@ class CoordArrangement:
 
     real is True when the coefficients are real under some embedding; it is
     asserted by generators (and forced for rational coordinates), never
-    inferred for extensions.
+    inferred for extensions.  A finite field embeds in no real field, so
+    real=True over one raises ValueError.
     """
 
     __slots__ = ("field", "lines", "real")
@@ -78,6 +79,8 @@ class CoordArrangement:
         self.lines = _distinct_over_one_field(
             lines, "lines", ValueError("arrangement needs at least one line"))
         self.field = self.lines[0].field
+        if real and self.field.order is not None:
+            raise ValueError(f"lines over the finite field {self.field!r} cannot be real")
         self.real = bool(real) or isinstance(self.field, RationalField)
 
     @property
@@ -234,9 +237,10 @@ abstract_spectrum = Spectrum
 def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     """All points where at least two lines of the arrangement meet.
 
-    Deduplication is exact via canonical coordinates; member sets accumulate
-    from the meets, so a point's multiplicity is the number of lines through
-    it.  A pencil yields a single point of multiplicity d.
+    Deduplication is exact via the stored canonical reps, which key the
+    walk; member sets accumulate from the meets, so a point's multiplicity is
+    the number of lines through it.  A pencil yields a single point of
+    multiplicity d.
 
     Line i meets only the later lines that no point already found on it
     holds: a point of multiplicity m is met m - 1 times, from its first
@@ -244,7 +248,7 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     """
     if arr.d < 2:
         raise SingleLine("need at least two lines to intersect")
-    acc: dict[ProjPoint, set[int]] = {}
+    acc: dict[tuple, set[int]] = {}  # stored reps of each point: its members
     lines = arr.lines
     found_on = [[] for _ in lines]  # member sets of the points found on each line
     for i, line in enumerate(lines):
@@ -253,19 +257,21 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
         for j in range(i + 1, len(lines)):
             if j in covered:
                 continue
-            members = acc.setdefault(meet(line, lines[j]), fresh)
+            members = acc.setdefault(meet(line, lines[j])._r, fresh)
             if members is fresh:
                 found_on[i].append(members)
                 fresh = {i}
             members.add(j)
             found_on[j].append(members)
-    ordered = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
+    field = arr.field
+    key = field._triple_key
+    ordered = sorted(acc.items(), key=lambda kv: key(kv[0]))
     return IncidenceStructure(
         range(arr.d),
-        ordered,
+        [(ProjPoint._of_canonical(field, r), members) for r, members in ordered],
         complete=True,
         real=arr.real,
-        field_order=arr.field.order,
+        field_order=field.order,
     )
 
 

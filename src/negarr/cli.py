@@ -8,7 +8,8 @@ Coordinates:
                                     field EXT Q [1,1,1]
                                     field EXT (GF 2) [1,1,1]
     line 1 0 -1                 one row per line, three exact literals
-    flags real                  optional; rational coordinates are always real
+    flags real                  optional; rational coordinates are always real,
+                                and finite-field ones never
     note free text              optional, repeatable
 
 Spectrum:

@@ -269,11 +269,9 @@ class Field:
     # subclasses: _coerce_rep, _add, _sub (negation is _sub from the zero
     # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe, and
     # sort_key_rep when the key is not the rep itself; a field that stores
-    # triples in another form than _canonical's default (Q) also overrides
-    # _affine, and may override _triple_key to read the key off that form
-
-
-_ZERO = Fraction(0)
+    # triples in another form than _canonical's default (Q, and Q[x]/(f)
+    # with f integral) also overrides _affine, and may override _triple_key
+    # to read the key off that form
 
 
 def _integral(t):
@@ -712,6 +710,16 @@ class ExtensionField(Field):
         kernel = self._kernel
         return super()._cross(u, v) if kernel is None else kernel.cross(u, v)
 
+    def _affine(self, reps):
+        kernel = self._kernel
+        return kernel.affine(reps) if isinstance(kernel, _IntegralKernel) else reps
+
+    def _triple_key(self, reps):
+        kernel = self._kernel
+        if isinstance(kernel, _IntegralKernel):
+            return kernel.triple_key(reps)
+        return super()._triple_key(reps)
+
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
 
@@ -744,8 +752,10 @@ class ExtensionField(Field):
 
 
 # ---- int kernels for extension-field meets ----
-# Both take and return the reps ExtensionField uses (tuples of residues or of
-# Fractions), so every byte a report prints stays the same.
+# The Zech kernel takes and returns the reps ExtensionField uses (tuples of
+# residues); the integral kernel stores primitive int vectors, which
+# ExtensionField._affine turns back into the Fraction vectors of a leftmost
+# one, so every byte a report prints stays the same.
 
 # Zech tables for GF(q) are built only up to this order: at q = 256 building
 # them costs about as much as a hundred generic meets.
@@ -868,26 +878,30 @@ def _integral_vectors(t):
 class _IntegralKernel:
     """Meets in Q[x]/(f) for a monic f with integer coefficients.
 
-    Each triple is scaled to int coefficient vectors, so the cross product is
-    taken in Z[x]/(f).  Its leftmost nonzero entry a is divided out of the
-    other two by one fraction-free elimination of the k x k matrix of
-    multiplication by a, with both as right-hand sides (Bareiss, "Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math.
-    Comp. 1968).  Fractions are built for the output coefficients only.
+    A triple is stored as int coefficient vectors with gcd 1 over all their
+    coefficients, whose leftmost nonzero vector is a positive integer
+    constant (as _primitive over Q), so the cross product is taken in
+    Z[x]/(f) on the stored ints.  Its leftmost nonzero entry a is divided
+    out of the other two by one fraction-free elimination of the k x k
+    matrix of multiplication by a, with both as right-hand sides (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968), which gives the determinant and int
+    numerators; no Fraction is built.
     """
 
-    __slots__ = ("modulus", "zero", "one", "reducible")
+    __slots__ = ("modulus", "zero", "reducible")
 
     def __init__(self, field):
         self.modulus = [int(c) for c in field.modulus]
-        self.zero, self.one = field._coerce_rep(0), field._coerce_rep(1)
+        self.zero = (0,) * field.degree
         self.reducible = (f"{field.format_rep(field.modulus)} shares a factor "
                           "with an element; modulus is reducible")
 
     def _divide(self, a, rhs):
-        """The reps of r / a for each int vector r in rhs."""
+        """(det, numerators): int vectors n with r / a = n / det for each int
+        vector r in rhs."""
         if not any(a[1:]):  # an integer
-            return [tuple(Fraction(v, a[0]) if v else _ZERO for v in r) for r in rhs]
+            return a[0], rhs
         f = self.modulus
         # column j of the matrix is a * x^j; the right-hand sides follow
         cols = [a]
@@ -917,27 +931,42 @@ class _IntegralKernel:
             for row in reversed(upper):
                 n = len(xs)
                 xs.insert(0, (last * row[n + 1 + s] - sum(map(mul, row[1:n + 1], xs))) // row[0])
-            out.append(tuple(Fraction(v, last) if v else _ZERO for v in xs))
-        return out
+            out.append(xs)
+        return last, out
 
-    def _scaled(self, x, y, z):
-        """The reps of the int triple scaled to a leftmost one."""
-        if any(x):
-            return (self.one, *self._divide(x, [y, z]))
-        if any(y):
-            return (self.zero, self.one, *self._divide(y, [z]))
-        if any(z):
-            return (self.zero, self.zero, self.one)
-        raise ValueError("projective triple must have a nonzero coordinate")
+    def _scaled(self, *triple):
+        """The stored form of the int triple: its leftmost nonzero entry made
+        an integer, then the whole divided by the gcd of its coefficients,
+        signed so that integer is positive."""
+        i = next((i for i, a in enumerate(triple) if any(a)), None)
+        if i is None:
+            raise ValueError("projective triple must have a nonzero coordinate")
+        det, rest = self._divide(triple[i], triple[i + 1:])
+        g = gcd(det, *(v for r in rest for v in r))
+        if det < 0:
+            g = -g
+        return ((self.zero,) * i + ((det // g,) + self.zero[1:],)
+                + tuple(tuple(v // g for v in r) for r in rest))
 
     def canonical(self, reps):
         return self._scaled(*_integral_vectors(reps))
 
     def cross(self, u, v):
-        (a1, b1, c1), (a2, b2, c2) = _integral_vectors(u), _integral_vectors(v)
+        (a1, b1, c1), (a2, b2, c2) = u, v
         f = self.modulus
         return self._scaled(_int_det2(b1, c2, b2, c1, f), _int_det2(c1, a2, c2, a1, f),
                             _int_det2(a1, b2, a2, b1, f))
+
+    @staticmethod
+    def affine(reps):
+        pivot = next(r[0] for r in reps if any(r))
+        return tuple(tuple(Fraction(v, pivot) for v in r) for r in reps)
+
+    @staticmethod
+    def triple_key(reps):
+        # (numerator, denominator) of each coefficient over the positive pivot
+        p = next(r[0] for r in reps if any(r))
+        return tuple(tuple((v // (g := gcd(p, v)), p // g) for v in r) for r in reps)
 
 
 # ---- the literal and descriptor grammar: inverses of format_rep and describe ----

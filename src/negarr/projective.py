@@ -1,12 +1,14 @@
 """Points and lines of the projective plane over an exact field.
 
 Homogeneous triples are stored in the canonical form of their field's
-_canonical hook, so equality and hashing are structural: the leftmost nonzero
-coordinate scaled to 1, or over Q the primitive integer triple (gcd 1, the
-leftmost nonzero entry positive).  A triple keeps its field and the raw
-representations only, and all arithmetic runs on those; coords, coeffs and
-repr show the field's _affine view of them, with a leftmost 1, and sort_key
-is the field's _triple_key.
+_canonical hook, so equality and hashing are structural: over Q the primitive
+integer triple (gcd 1, the leftmost nonzero entry positive), over Q[x]/(f)
+with f monic and integral the primitive integer coefficient vectors (gcd 1
+over all coefficients, the leftmost nonzero vector a positive integer), and
+elsewhere the leftmost nonzero coordinate scaled to 1.  A triple keeps its
+field and the raw representations only, and all arithmetic runs on those;
+coords, coeffs and repr show the field's _affine view of them, with a
+leftmost 1, and sort_key is the field's _triple_key.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .fields import Field, FieldElement
 class _Triple:
     """A canonical homogeneous triple; ProjPoint and ProjLine name and bracket it.
 
-    _r holds the canonical raw representations (primitive ints over Q);
-    coords, coeffs and repr read them through field._affine.
+    _r holds the canonical raw representations (primitive ints over Q and
+    integral Q[x]/(f)); coords, coeffs and repr read them through
+    field._affine.
     """
 
     __slots__ = ("field", "_r")
@@ -77,7 +80,7 @@ class ProjLine(_Triple):
 def _cross(u: _Triple, v: _Triple, noun: str, coincide, result):
     """The meet of two distinct lines, or the join of two distinct points."""
     field = u.field
-    if field != v.field:
+    if field is not v.field and field != v.field:
         raise FieldMismatch(f"{noun} live over {field} and {v.field}")
     if u._r == v._r:
         raise coincide(f"{noun} coincide: {u!r}")

@@ -154,12 +154,18 @@ def test_point_and_line_set_messages(make, element, kind, empty):
 
 
 def test_real_flag_is_a_plain_bool_forced_over_q():
-    gf5 = PrimeField(5)
-    lines = [ProjLine(gf5, (1, 0, 0)), ProjLine(gf5, (0, 1, 0))]
+    qi = cyclotomic_field(4)
+    lines = [ProjLine(qi, (1, 0, 0)), ProjLine(qi, (0, 1, 0))]
     assert CoordArrangement(lines).real is False
     assert CoordArrangement(lines, real=True).real is True
     assert CoordArrangement(_triangle().lines, real=False).real is True
     assert CoordArrangement(lines, real=True).without([0]).real is True
+    # a finite field embeds in no real field
+    gf5 = PrimeField(5)
+    lines = [ProjLine(gf5, (1, 0, 0)), ProjLine(gf5, (0, 1, 0))]
+    assert CoordArrangement(lines).real is False
+    with pytest.raises(ValueError, match=r"^lines over the finite field GF\(5\) cannot be real$"):
+        CoordArrangement(lines, real=1)
 
 
 def test_abstract_spectrum_is_the_constructor():
@@ -440,6 +446,7 @@ def _differential_inputs():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6))
     out["q-large"] = _random_arrangement(rng, Q, 14, large)
     out["fermat4"] = gen_fermat(4)
+    out["fermat5"] = gen_fermat(5)  # over Q(zeta_5), of degree 4
     out["generic"] = gen_generic(8)
     out["pencil"] = gen_pencil(7)
     out["quasipencil"] = gen_quasi_pencil(7)
@@ -466,3 +473,7 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
     assert [repr(p) for p, _ in inc.points] == [
         "[" + ":".join(map(repr, coords)) + "]" for coords, _ in reference]
     assert len(calls) == sum(len(members) - 1 for _, members in reference)
+    # each stored point is the canonical form of its own coordinates
+    for p, _ in inc.points:
+        again = ProjPoint(arr.field, p.coords)
+        assert again == p and hash(again) == hash(p)

@@ -463,6 +463,13 @@ _ERROR_MESSAGES = {
                         "profile-based pair removal unavailable\n"),
     "spectrum-without-points": ("spectrum d=1\nt 2 0\n", ("analyze", "{f}"),
                                 "error: spectrum has no points\n"),
+    # a finite field embeds in no real field, so melchior must not apply
+    "real-over-gf7": ("field GF 7\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 1 1\n"
+                      "flags real\n", ("analyze", "{f}"),
+                      "error: lines over the finite field GF(7) cannot be real\n"),
+    "real-over-gf4": ("field EXT (GF 2) [1,1,1]\nline 1 0 0\nline 0 1 0\nline 0 0 1\n"
+                      "flags real\n", ("search", "{f}", "--max-remove", "1"),
+                      "error: lines over the finite field EXT (GF 2) [1,1,1] cannot be real\n"),
 }
 
 

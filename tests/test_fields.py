@@ -32,7 +32,7 @@ from negarr.fields import (
     parse_field,
     prime_power,
 )
-from negarr.fields import _has_rational_root, _primitive
+from negarr.fields import _has_rational_root, _IntegralKernel, _primitive
 
 Q = RationalField()
 
@@ -486,6 +486,15 @@ def _kernel_fields():
 
 
 _KERNEL_FIELDS = _kernel_fields()
+
+
+def _stores_ints(field):
+    """Whether the field stores primitive int triples: Q, and Q[x]/(f) with
+    f integral."""
+    return field == Q or isinstance(getattr(field, "_kernel", None), _IntegralKernel)
+
+
+_STORED_INT_FIELDS = [field for field in (Q, *_KERNEL_FIELDS.values()) if _stores_ints(field)]
 # Q and GF(p) meet on ints of their own; 10^19 + 51 is prime and below the
 # bound of the primality proof
 _INT_FIELDS = {**_KERNEL_FIELDS, "q": Q,
@@ -529,11 +538,14 @@ def _generic_cross(field, u, v):
 
 
 def _stored(field, u):
-    """The reps that _cross takes for the triple u: over Q its primitive
-    ints (the zero triple as ints), elsewhere u itself."""
-    if field != Q:
+    """The reps that _cross takes for the triple u: over Q and over an
+    integral Q[x]/(f) its primitive ints (the zero triple as ints),
+    elsewhere u itself."""
+    if not _stores_ints(field):
         return u
-    return field._canonical(u) if any(u) else (0, 0, 0)
+    if all(map(field._is_zero, u)):
+        return ((0 if field == Q else (0,) * field.degree),) * 3
+    return field._canonical(u)
 
 
 @pytest.mark.parametrize("field", _INT_FIELDS.values(), ids=_INT_FIELDS)
@@ -562,44 +574,73 @@ def _large_rational(rng):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6))
 
 
+def _large_triple(field, rng):
+    """Three entries of _large_rational, as coefficient vectors over an
+    extension with about a third of them zero."""
+    if field == Q:
+        return tuple(_large_rational(rng) for _ in range(3))
+    return tuple(field._coerce_rep([0] * field.degree if rng.random() < 0.3 else
+                                   [_large_rational(rng) for _ in range(field.degree)])
+                 for _ in range(3))
+
+
 def test_primitive_triples_and_their_sort_keys():
+    """Over Q and each integral Q[x]/(f) a triple is stored as int vectors
+    with gcd 1 over all coefficients whose leftmost nonzero vector is a
+    positive integer; it reads back as the pivot-one Fraction view."""
     rng = random.Random(12)
-    for _ in range(2000):
-        t = tuple(_large_rational(rng) for _ in range(3))
-        if not any(t):
-            with pytest.raises(ValueError, match="nonzero coordinate"):
-                Q._canonical(t)
-            continue
-        stored = Q._canonical(t)
-        assert all(type(r) is int for r in stored)
-        assert math.gcd(*stored) == 1 and next(r for r in stored if r) > 0
-        affine = Field._canonical(Q, t)
-        assert Q._affine(stored) == affine
-        assert Q._triple_key(stored) == tuple(Q.sort_key_rep(r) for r in affine)
-        scale = rng.choice((-1, 1)) * rng.randint(1, 10**6)
-        assert _primitive(*(scale * r for r in stored)) == stored
+    for field in _STORED_INT_FIELDS:
+        for _ in range(2000 if field == Q else 150):
+            t = _large_triple(field, rng)
+            if all(map(field._is_zero, t)):
+                with pytest.raises(ValueError, match="nonzero coordinate"):
+                    field._canonical(t)
+                continue
+            stored = field._canonical(t)
+            vectors = stored if field != Q else [(r,) for r in stored]
+            coefficients = [c for r in vectors for c in r]
+            assert all(type(c) is int for c in coefficients)
+            assert math.gcd(*coefficients) == 1
+            lead = next(r for r in vectors if any(r))
+            assert lead[0] > 0 and not any(lead[1:])
+            affine = Field._canonical(field, t)
+            assert field._affine(stored) == affine
+            assert field._triple_key(stored) == tuple(field.sort_key_rep(r) for r in affine)
+            scale = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+            multiple = tuple(scale * r for r in stored) if field == Q else tuple(
+                tuple(scale * c for c in r) for r in stored)
+            assert field._canonical(multiple) == stored
+            unit = _large_triple(field, rng)[0]
+            if not field._is_zero(unit):
+                assert field._canonical(tuple(field._mul(r, unit) for r in t)) == stored
     with pytest.raises(ValueError, match="nonzero coordinate"):
         _primitive(0, 0, 0)
 
 
 def test_rational_incidences_on_ints_match_fraction_views():
-    """Q counts incidences with the generic Field body on its stored int
-    triples; the counts equal those on the pivot-one Fraction views."""
+    """Q and each integral Q[x]/(f) count incidences with the generic Field
+    body on their stored int triples; the counts equal those on the
+    pivot-one Fraction views."""
     rng = random.Random(13)
+    for field in _STORED_INT_FIELDS:
+        def entry():
+            value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if field == Q:
+                return value
+            return field._coerce_rep([value] + [rng.choice((0, 0, 1, -1))
+                                                for _ in range(field.degree - 1)])
 
-    def entry():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-    triples = (tuple(entry() for _ in range(3)) for _ in range(60))
-    stored = list(dict.fromkeys(Q._canonical(t) for t in triples if any(t)))
-    # lines through pairs of the points, so incidences occur, and random ones
-    lines = [Q._cross(*rng.sample(stored, 2)) for _ in range(15)]
-    lines += [Q._canonical(t) for t in (tuple(_large_rational(rng) for _ in range(3))
-                                        for _ in range(15)) if any(t)]
-    counts = Q._incidences(stored, lines)
-    assert counts == Field._incidences(Q, [Q._affine(p) for p in stored],
-                                       [Q._affine(l) for l in lines])
-    assert sum(counts) >= 30 and max(counts) >= 2
+        triples = (tuple(entry() for _ in range(3)) for _ in range(60 if field == Q else 25))
+        stored = list(dict.fromkeys(field._canonical(t) for t in triples
+                                    if not all(map(field._is_zero, t))))
+        # lines through pairs of the points, so incidences occur, and random ones
+        lines = [field._cross(*rng.sample(stored, 2)) for _ in range(15)]
+        lines += [field._canonical(t) for t in (_large_triple(field, rng) for _ in range(15))
+                  if not all(map(field._is_zero, t))]
+        counts = field._incidences(stored, lines)
+        assert counts == Field._incidences(field, [field._affine(p) for p in stored],
+                                           [field._affine(l) for l in lines])
+        assert sum(counts) >= 30 and max(counts) >= 2, field
 
 
 def test_reducible_integral_modulus_fails_alike():
@@ -608,15 +649,26 @@ def test_reducible_integral_modulus_fails_alike():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnvalidatedModulusWarning)
         field = parse_field("EXT Q [2,0,3,0,1]")
-    assert field._kernel is not None
+    assert isinstance(field._kernel, _IntegralKernel)
     rng = random.Random(5)
     outcomes = set()
+
+    def cross(u, v):
+        return field._affine(field._cross(u, v))
+
     for _ in range(400):
         u, v = _sparse_triple(field, rng), _sparse_triple(field, rng)
-        got = _outcome(field._cross, u, v)
+        try:
+            su, sv = _stored(field, u), _stored(field, v)
+        except ReducibleModulus:  # a zero divisor leads u or v: no stored form
+            w = u if _outcome(field._canonical, u)[0] is ReducibleModulus else v
+            assert _outcome(field._canonical, w) == _outcome(Field._canonical, field, w)
+            outcomes.add("unstored")
+            continue
+        got = _outcome(cross, su, sv)
         assert got == _outcome(_generic_cross, field, u, v)
         outcomes.add(got[0] if got[0] in (ValueError, ReducibleModulus) else "point")
-    assert outcomes == {ValueError, ReducibleModulus, "point"}
+    assert outcomes == {ValueError, ReducibleModulus, "point", "unstored"}
 
 
 def test_fields_off_the_kernels_stay_generic(monkeypatch):
