@@ -159,7 +159,8 @@ class Spectrum:
     sum C(k,2) t_k = C(d,2) is enforced.  profile, when present, gives for
     every line the number of k-fold points on it and must satisfy
     d * profile[k] = k * t_k.  field_order is the size of the coordinate
-    field when the spectrum came from one of positive characteristic.
+    field when the spectrum came from one of positive characteristic; such
+    a field embeds in no real field, so real=True with it raises ValueError.
     """
 
     __slots__ = ("d", "t", "real", "complete", "profile", "field_order")
@@ -194,6 +195,9 @@ class Spectrum:
                     raise ProfileInconsistent(
                         f"d*profile[{k}] = {d * c} but k*t_{k} = {k * clean[k]}")
             profile = prof
+        if real and field_order is not None:
+            raise ValueError(f"a spectrum over the finite field of order {field_order} "
+                             "cannot be real")
         self.d = d
         self.t = clean
         self.real = bool(real)

@@ -17,7 +17,8 @@ Spectrum:
     t 3 120                     one row per multiplicity
     profile 3 8                 optional per-line profile rows
     flags real complete         when omitted: not real, complete
-    order 9                     coordinate field size (a prime power), when finite
+    order 9                     coordinate field size (a prime power), when finite;
+                                with it the real flag is an input error
     note free text              optional, repeatable
 
 Points (for analyze --points FILE, with a coordinates input):

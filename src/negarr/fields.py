@@ -268,10 +268,12 @@ class Field:
 
     # subclasses: _coerce_rep, _add, _sub (negation is _sub from the zero
     # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe, and
-    # sort_key_rep when the key is not the rep itself; a field that stores
-    # triples in another form than _canonical's default (Q, and Q[x]/(f)
-    # with f integral) also overrides _affine, and may override _triple_key
-    # to read the key off that form
+    # sort_key_rep when the key is not the rep itself.  Each meet path is one
+    # class, which overrides _canonical and _cross on its own arithmetic (Q
+    # and GF(p) on ints, _ZechField on logs, _IntegralField fraction-free;
+    # plain ExtensionField keeps these bodies); a class that stores triples in
+    # another form than _canonical's default (Q and _IntegralField, as int
+    # vectors) also overrides _affine, _triple_key and _incidences
 
 
 def _integral(t):
@@ -588,7 +590,24 @@ class ExtensionField(Field):
     rational root test over Q; beyond degree 3 over Q (and always over an
     extension base) the caller's word is accepted and the handle is tagged
     unvalidated, with an UnvalidatedModulusWarning.
+
+    Construction picks the class of the meet path once: _ZechField for a
+    checked modulus over GF(p) of order at most ZECH_MAX_ORDER,
+    _IntegralField for an integral modulus over Q, and ExtensionField itself,
+    on the generic Field hooks, for towers, other moduli, larger orders and
+    assume_irreducible over GF(p).  The modulus is a list or a tuple, whose
+    length gives the order before __init__ checks it.
     """
+
+    def __new__(cls, base: Field, modulus, *, assume_irreducible: bool = False):
+        if cls is ExtensionField:
+            if isinstance(base, PrimeField):
+                if not assume_irreducible and base.p ** (len(modulus) - 1) <= ZECH_MAX_ORDER:
+                    cls = _ZechField
+            elif isinstance(base, RationalField):
+                if all(base._coerce_rep(c).denominator == 1 for c in modulus):
+                    cls = _IntegralField
+        return super().__new__(cls)
 
     def __init__(self, base: Field, modulus, *, assume_irreducible: bool = False):
         self.base = base
@@ -687,39 +706,6 @@ class ExtensionField(Field):
     def _is_zero(self, a):
         return all(self.base._is_zero(c) for c in a)
 
-    @cached_property
-    def _kernel(self):
-        """The int kernel that meets and canonicalises, built at first use:
-        Zech tables over a prime base of order at most ZECH_MAX_ORDER, or
-        Z[x]/(f) over Q with an integral modulus f.  None leaves the field on
-        the generic Field path (towers, other moduli, larger orders)."""
-        base = self.base
-        if isinstance(base, PrimeField):
-            if base.p ** self.degree <= ZECH_MAX_ORDER:
-                return _zech_kernel(self)
-        elif isinstance(base, RationalField):
-            if all(c.denominator == 1 for c in self.modulus):
-                return _IntegralKernel(self)
-        return None
-
-    def _canonical(self, reps):
-        kernel = self._kernel
-        return super()._canonical(reps) if kernel is None else kernel.canonical(reps)
-
-    def _cross(self, u, v):
-        kernel = self._kernel
-        return super()._cross(u, v) if kernel is None else kernel.cross(u, v)
-
-    def _affine(self, reps):
-        kernel = self._kernel
-        return kernel.affine(reps) if isinstance(kernel, _IntegralKernel) else reps
-
-    def _triple_key(self, reps):
-        kernel = self._kernel
-        if isinstance(kernel, _IntegralKernel):
-            return kernel.triple_key(reps)
-        return super()._triple_key(reps)
-
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
 
@@ -751,11 +737,12 @@ class ExtensionField(Field):
             yield FieldElement(self, tuple(combo))
 
 
-# ---- int kernels for extension-field meets ----
-# The Zech kernel takes and returns the reps ExtensionField uses (tuples of
-# residues); the integral kernel stores primitive int vectors, which
-# ExtensionField._affine turns back into the Fraction vectors of a leftmost
-# one, so every byte a report prints stays the same.
+# ---- the int meet paths of ExtensionField ----
+# _ZechField takes and returns the reps of ExtensionField (tuples of
+# residues); _IntegralField stores primitive int vectors, which its _affine
+# turns back into the Fraction vectors of a leftmost one, so every byte a
+# report prints stays the same.  Scalar arithmetic stays on the polynomial
+# path of ExtensionField in both.
 
 # Zech tables for GF(q) are built only up to this order: at q = 256 building
 # them costs about as much as a hundred generic meets.
@@ -791,81 +778,76 @@ def _int_det2(a, b, c, d, modulus):
     return _int_reduce(_int_addmul(out, c, d, -1), modulus)
 
 
-class _ZechKernel:
-    """Meets in GF(q) on discrete logarithms to a primitive element g.
+class _ZechField(ExtensionField):
+    """GF(p)[x]/(f) with f checked irreducible and order q <= ZECH_MAX_ORDER,
+    which meets on discrete logarithms to a primitive element g.
 
     A nonzero element g^e has log e in [0, n), n = q - 1; zero has the log
     3n.  A product adds logs, -1 is g^h (h = n/2, or 0 in characteristic 2),
     and a sum uses the Zech logarithm zech[t] = log(1 + g^t):
     g^a + g^b = g^(a + zech[b - a]) (Lidl and Niederreiter, Finite Fields).
-    wrap[s] is s mod n for a sum s of nonzero logs (below 3n) and
-    3n for any sum that includes 3n; rep maps a log back to its rep.
+    _zwrap[s] is s mod n for a sum s of nonzero logs (below 3n) and 3n for
+    any sum that includes 3n; _zrep maps a log back to its rep.
     """
 
-    __slots__ = ("log", "rep", "wrap", "zech", "n", "h", "zero", "one")
-
-    def __init__(self, p, powers):
-        n = len(powers)
-        self.n, self.h = n, n // 2 if p > 2 else 0
-        self.one, self.zero = powers[0], (0,) * len(powers[0])
-        self.log = {r: e for e, r in enumerate(powers)}
-        self.log[self.zero] = 3 * n
-        self.rep = powers + [None] * (2 * n) + [self.zero]  # no log falls in [n, 3n)
-        self.wrap = [s % n for s in range(3 * n)] + [3 * n] * (4 * n)
-        self.zech = [self.log[((r[0] + 1) % p,) + r[1:]] for r in powers]
+    def __init__(self, base, modulus, *, assume_irreducible=False):
+        super().__init__(base, modulus, assume_irreducible=assume_irreducible)
+        p, k = base.p, self.degree
+        f, n = list(self.modulus), p ** k - 1
+        one = (1,) + (0,) * (k - 1)
+        for g in itertools.product(range(p), repeat=k):
+            if not any(g[1:]):
+                continue  # a constant has order dividing p - 1 < n
+            powers = [one]
+            for _ in range(n):
+                e = _int_addmul([0] * (2 * k - 1), powers[-1], g)
+                e = tuple(c % p for c in _int_reduce(e, f))
+                if e == one:
+                    break
+                powers.append(e)
+            if len(powers) == n:
+                break
+        else:  # the multiplicative group of a field is cyclic
+            raise InternalInconsistency(f"{self} has no element of order {n}")
+        self._zn, self._zh = n, n // 2 if p > 2 else 0
+        self._zone, self._zzero = one, (0,) * k
+        self._zlog = {r: e for e, r in enumerate(powers)}
+        self._zlog[self._zzero] = 3 * n
+        self._zrep = powers + [None] * (2 * n) + [self._zzero]  # no log falls in [n, 3n)
+        self._zwrap = [s % n for s in range(3 * n)] + [3 * n] * (4 * n)
+        self._zech = [self._zlog[((r[0] + 1) % p,) + r[1:]] for r in powers]
 
     def _minus(self, a, b):
         """The log of g^a - g^b for logs a and b."""
-        b = self.wrap[b + self.h]
-        if a == 3 * self.n:
+        b = self._zwrap[b + self._zh]
+        if a == 3 * self._zn:
             return b
-        if b == 3 * self.n:
+        if b == 3 * self._zn:
             return a
-        return self.wrap[a + self.zech[b - a]]  # b - a < 0 indexes zech mod n
+        return self._zwrap[a + self._zech[b - a]]  # b - a < 0 indexes _zech mod n
 
     def _scaled(self, x, y, z):
         """The reps of the triple of logs scaled to a leftmost one."""
-        n, wrap, rep = self.n, self.wrap, self.rep
+        n, wrap, rep = self._zn, self._zwrap, self._zrep
         if x != 3 * n:
-            return (self.one, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
+            return (self._zone, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
         if y != 3 * n:
-            return (self.zero, self.one, rep[wrap[z + n - y]])
+            return (self._zzero, self._zone, rep[wrap[z + n - y]])
         if z != 3 * n:
-            return (self.zero, self.zero, self.one)
+            return (self._zzero, self._zzero, self._zone)
         raise ValueError("projective triple must have a nonzero coordinate")
 
-    def canonical(self, reps):
-        log = self.log
+    def _canonical(self, reps):
+        log = self._zlog
         return self._scaled(*[log[r] for r in reps])
 
-    def cross(self, u, v):
-        log, wrap, minus = self.log, self.wrap, self._minus
+    def _cross(self, u, v):
+        log, wrap, minus = self._zlog, self._zwrap, self._minus
         a1, b1, c1 = [log[r] for r in u]
         a2, b2, c2 = [log[r] for r in v]
         return self._scaled(minus(wrap[b1 + c2], wrap[b2 + c1]),
                             minus(wrap[c1 + a2], wrap[c2 + a1]),
                             minus(wrap[a1 + b2], wrap[a2 + b1]))
-
-
-def _zech_kernel(field):
-    """Zech tables for a GF(p)[x]/(f), or None when no element has order
-    q - 1 (f is then reducible, which only assume_irreducible lets in)."""
-    p, k = field.base.p, field.degree
-    modulus, n = list(field.modulus), p ** k - 1
-    one = (1,) + (0,) * (k - 1)
-    for g in itertools.product(range(p), repeat=k):
-        if not any(g[1:]):
-            continue  # a constant has order dividing p - 1 < n
-        powers = [one]
-        for _ in range(n):
-            e = _int_addmul([0] * (2 * k - 1), powers[-1], g)
-            e = tuple(c % p for c in _int_reduce(e, modulus))
-            if e == one:
-                break
-            powers.append(e)
-        if len(powers) == n:
-            return _ZechKernel(p, powers)
-    return None
 
 
 def _integral_vectors(t):
@@ -875,8 +857,8 @@ def _integral_vectors(t):
     return [[c.numerator * (m // c.denominator) for c in r] for r in t]
 
 
-class _IntegralKernel:
-    """Meets in Q[x]/(f) for a monic f with integer coefficients.
+class _IntegralField(ExtensionField):
+    """Q[x]/(f) for a monic f with integer coefficients, meeting fraction-free.
 
     A triple is stored as int coefficient vectors with gcd 1 over all their
     coefficients, whose leftmost nonzero vector is a positive integer
@@ -886,23 +868,21 @@ class _IntegralKernel:
     matrix of multiplication by a, with both as right-hand sides (Bareiss,
     "Sylvester's identity and multistep integer-preserving Gaussian
     elimination", Math. Comp. 1968), which gives the determinant and int
-    numerators; no Fraction is built.
+    numerators; no Fraction is built.  The class has no __init__ of its own,
+    so the UnvalidatedModulusWarning of ExtensionField names the caller.
     """
 
-    __slots__ = ("modulus", "zero", "reducible")
-
-    def __init__(self, field):
-        self.modulus = [int(c) for c in field.modulus]
-        self.zero = (0,) * field.degree
-        self.reducible = (f"{field.format_rep(field.modulus)} shares a factor "
-                          "with an element; modulus is reducible")
+    @cached_property
+    def _f(self):
+        """The modulus as ints."""
+        return [int(c) for c in self.modulus]
 
     def _divide(self, a, rhs):
         """(det, numerators): int vectors n with r / a = n / det for each int
         vector r in rhs."""
         if not any(a[1:]):  # an integer
             return a[0], rhs
-        f = self.modulus
+        f = self._f
         # column j of the matrix is a * x^j; the right-hand sides follow
         cols = [a]
         for _ in range(len(a) - 1):
@@ -916,7 +896,8 @@ class _IntegralKernel:
         while rows:
             at = next((i for i, row in enumerate(rows) if row[0]), None)
             if at is None:  # a is a zero divisor
-                raise ReducibleModulus(self.reducible)
+                raise ReducibleModulus(f"{self.format_rep(self.modulus)} shares a factor "
+                                       "with an element; modulus is reducible")
             top = rows.pop(at)
             upper.append(top)
             pivot, tail = top[0], top[1:]
@@ -945,25 +926,31 @@ class _IntegralKernel:
         g = gcd(det, *(v for r in rest for v in r))
         if det < 0:
             g = -g
-        return ((self.zero,) * i + ((det // g,) + self.zero[1:],)
+        zero = (0,) * self.degree
+        return ((zero,) * i + ((det // g,) + zero[1:],)
                 + tuple(tuple(v // g for v in r) for r in rest))
 
-    def canonical(self, reps):
+    def _canonical(self, reps):
         return self._scaled(*_integral_vectors(reps))
 
-    def cross(self, u, v):
+    def _cross(self, u, v):
         (a1, b1, c1), (a2, b2, c2) = u, v
-        f = self.modulus
+        f = self._f
         return self._scaled(_int_det2(b1, c2, b2, c1, f), _int_det2(c1, a2, c2, a1, f),
                             _int_det2(a1, b2, a2, b1, f))
 
-    @staticmethod
-    def affine(reps):
+    def _incidences(self, points, lines):
+        # a x + b y + c z in Z[x]/(f), on the stored ints
+        f, size = self._f, 2 * self.degree - 1
+        return [sum(1 for a, b, c in lines if not any(_int_reduce(
+                    _int_addmul(_int_addmul(_int_addmul([0] * size, a, x), b, y), c, z), f)))
+                for x, y, z in points]
+
+    def _affine(self, reps):
         pivot = next(r[0] for r in reps if any(r))
         return tuple(tuple(Fraction(v, pivot) for v in r) for r in reps)
 
-    @staticmethod
-    def triple_key(reps):
+    def _triple_key(self, reps):
         # (numerator, denominator) of each coefficient over the positive pivot
         p = next(r[0] for r in reps if any(r))
         return tuple(tuple((v // (g := gcd(p, v)), p // g) for v in r) for r in reps)

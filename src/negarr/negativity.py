@@ -188,12 +188,9 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
     lhs = t.get(2, 0) + Fraction(3, 4) * t.get(3, 0)
     rhs = d + sum((k - 4) * v for k, v in t.items() if k >= 5)
     slack = lhs - rhs
-    reason = note = None
-    if spec.is_pencil():
-        reason = "a point lies on every line (pencil)"
-    elif t.get(d - 1, 0):
-        reason = "a point lies on all lines but one (quasi-pencil)"
-    elif slack < 0:
+    note = None
+    reason = _DEGENERATE.get(main_bound_case(d, spec.s, lambda k: t.get(k, 0))[0])
+    if reason is None and slack < 0:
         note = "violates the Hirzebruch inequality: not realizable as a complex line arrangement"
     if reason is None and spec.field_order is not None:
         reason = "positive characteristic coordinates"
@@ -218,17 +215,23 @@ def melchior_check(spec: Spectrum) -> CertificateReport:
                              slack=e, reason=reason, e_slack=e, note=note)
 
 
+# why hirzebruch_check does not apply to a degenerate case of main_bound_case
+_DEGENERATE = {"pencil": "a point lies on every line (pencil)",
+               "quasi-pencil": "a point lies on all lines but one (quasi-pencil)"}
+
+
 def main_bound_case(d: int, s: int, count):
     """The case and the value num/den of the main lower bound, in integers.
 
     count(k) is the number of points on exactly k of the d lines and s the
     number of points on two or more.  Pencil (a point on all d lines, always
-    so for d = 2): 0/1.  Quasi-pencil (a point on d-1 lines): -2 + 3/d.
+    so for d = 2): 0/1.  Quasi-pencil (a point on d-1 lines; an arrangement
+    of d >= 4 lines has at most one, the triangle has three): -2 + 3/d.
     Otherwise -4 + (2d + t_2)/s + t_3/(4s).  den is always positive.
     """
-    if count(d) == 1:
+    if count(d):
         return "pencil", 0, 1
-    if count(d - 1) == 1:
+    if count(d - 1):
         return "quasi-pencil", 3 - 2 * d, d
     return "general", 8 * d + 4 * count(2) + count(3) - 16 * s, 4 * s
 

@@ -168,6 +168,14 @@ def test_real_flag_is_a_plain_bool_forced_over_q():
         CoordArrangement(lines, real=1)
 
 
+def test_spectrum_over_a_finite_field_cannot_be_real():
+    assert Spectrum(4, {2: 6}, field_order=7).real is False
+    assert Spectrum(4, {2: 6}, real=True).real is True
+    with pytest.raises(ValueError,
+                       match=r"^a spectrum over the finite field of order 7 cannot be real$"):
+        Spectrum(4, {2: 6}, real=True, field_order=7)
+
+
 def test_abstract_spectrum_is_the_constructor():
     assert abstract_spectrum is Spectrum
     assert negarr.abstract_spectrum is negarr.Spectrum

@@ -470,6 +470,10 @@ _ERROR_MESSAGES = {
     "real-over-gf4": ("field EXT (GF 2) [1,1,1]\nline 1 0 0\nline 0 1 0\nline 0 0 1\n"
                       "flags real\n", ("search", "{f}", "--max-remove", "1"),
                       "error: lines over the finite field EXT (GF 2) [1,1,1] cannot be real\n"),
+    "real-spectrum-with-order": ("spectrum d=4\nt 2 6\nflags real complete\norder 7\n",
+                                 ("analyze", "{f}"),
+                                 "error: a spectrum over the finite field of order 7 "
+                                 "cannot be real\n"),
 }
 
 

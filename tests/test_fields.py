@@ -32,7 +32,7 @@ from negarr.fields import (
     parse_field,
     prime_power,
 )
-from negarr.fields import _has_rational_root, _IntegralKernel, _primitive
+from negarr.fields import _has_rational_root, _IntegralField, _primitive, _ZechField
 
 Q = RationalField()
 
@@ -491,7 +491,7 @@ _KERNEL_FIELDS = _kernel_fields()
 def _stores_ints(field):
     """Whether the field stores primitive int triples: Q, and Q[x]/(f) with
     f integral."""
-    return field == Q or isinstance(getattr(field, "_kernel", None), _IntegralKernel)
+    return field == Q or isinstance(field, _IntegralField)
 
 
 _STORED_INT_FIELDS = [field for field in (Q, *_KERNEL_FIELDS.values()) if _stores_ints(field)]
@@ -550,7 +550,7 @@ def _stored(field, u):
 
 @pytest.mark.parametrize("field", _INT_FIELDS.values(), ids=_INT_FIELDS)
 def test_int_kernels_match_generic_path(field):
-    assert not isinstance(field, ExtensionField) or field._kernel is not None
+    assert type(field) is not ExtensionField
     rng = random.Random(field.key)
 
     def canonical(u):
@@ -618,9 +618,10 @@ def test_primitive_triples_and_their_sort_keys():
 
 
 def test_rational_incidences_on_ints_match_fraction_views():
-    """Q and each integral Q[x]/(f) count incidences with the generic Field
-    body on their stored int triples; the counts equal those on the
-    pivot-one Fraction views."""
+    """Q and each integral Q[x]/(f) count incidences on their stored int
+    triples (Q through the generic Field body, Q[x]/(f) in Z[x]/(f)); the
+    counts equal those of the generic body on the pivot-one Fraction
+    views."""
     rng = random.Random(13)
     for field in _STORED_INT_FIELDS:
         def entry():
@@ -649,7 +650,7 @@ def test_reducible_integral_modulus_fails_alike():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnvalidatedModulusWarning)
         field = parse_field("EXT Q [2,0,3,0,1]")
-    assert isinstance(field._kernel, _IntegralKernel)
+    assert type(field) is _IntegralField
     rng = random.Random(5)
     outcomes = set()
 
@@ -671,11 +672,7 @@ def test_reducible_integral_modulus_fails_alike():
     assert outcomes == {ValueError, ReducibleModulus, "point", "unstored"}
 
 
-def test_fields_off_the_kernels_stay_generic(monkeypatch):
-    def no_tables(field):
-        raise AssertionError(f"Zech tables built for {field}")
-
-    monkeypatch.setattr("negarr.fields._zech_kernel", no_tables)
+def test_fields_off_the_kernels_stay_generic():
     gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnvalidatedModulusWarning)
@@ -687,9 +684,10 @@ def test_fields_off_the_kernels_stay_generic(monkeypatch):
         u = tuple(_random_element(field, rng).value for _ in range(3))
         v = tuple(_random_element(field, rng).value for _ in range(3))
         assert field._cross(u, v) == Field._cross(field, u, v)
-        assert field._kernel is None
-    monkeypatch.undo()
+        assert type(field) is ExtensionField
     gf256 = ExtensionField(PrimeField(2), [1, 0, 1, 1, 1, 0, 0, 0, 1])  # x^8+x^4+x^3+x^2+1
-    assert gf256.order == ZECH_MAX_ORDER and gf256._kernel is not None
-    # a reducible modulus let in unchecked has no primitive element
-    assert ExtensionField(PrimeField(2), [1, 0, 1], assume_irreducible=True)._kernel is None
+    assert gf256.order == ZECH_MAX_ORDER and type(gf256) is _ZechField
+    # a modulus let in unchecked may be reducible, with no primitive element
+    assert type(ExtensionField(PrimeField(2), [1, 0, 1], assume_irreducible=True)) is ExtensionField
+    assert type(ExtensionField(PrimeField(3), [1, 0, 1])) is _ZechField
+    assert type(cyclotomic_field(12)) is _IntegralField

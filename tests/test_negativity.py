@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -37,6 +39,7 @@ from negarr.negativity import (
     h_full,
     h_quadratic,
     hirzebruch_check,
+    main_bound_case,
     main_lower_bound,
     mean_multiplicity_bound,
     melchior_check,
@@ -185,6 +188,52 @@ def test_main_lower_bound_cases():
     assert main_lower_bound(WIMAN).slack == Fraction(3, 67)
     assert main_lower_bound(KLEIN).bound_value == -3
     assert main_lower_bound(KLEIN).slack == 0
+
+
+def test_main_lower_bound_triangle_over_gf5():
+    # a point on d - 1 lines makes a quasi-pencil over any field; the
+    # triangle has three, and both cases give -1 at d = 3
+    for order in (None, 5):
+        rep = main_lower_bound(abstract_spectrum(3, {2: 3}, field_order=order))
+        assert (rep.applicable, rep.holds, rep.bound_value, rep.slack) == (True, True, -1, 0)
+    assert main_bound_case(3, 3, {2: 3}.get) == ("quasi-pencil", -3, 3)
+    assert Fraction(8 * 3 + 4 * 3 - 16 * 3, 4 * 3) == -1  # -4 + (2d + t_2)/s, as before
+
+
+def _random_complete_spectrum(rng):
+    """t with sum C(k,2) t_k = C(d,2): points of multiplicity 3..d drawn
+    while the pair count allows, double points for the pairs left."""
+    d = rng.randint(2, 12)
+    pairs, t = comb(d, 2), {}
+    for _ in range(rng.randint(0, 6)):
+        k = rng.choice((d, d - 1, rng.randint(3, max(3, d))))
+        if 3 <= k <= d and comb(k, 2) <= pairs:
+            t[k] = t.get(k, 0) + 1
+            pairs -= comb(k, 2)
+    if pairs:
+        t[2] = t.get(2, 0) + pairs
+    return d, t
+
+
+def test_hirzebruch_degenerate_reasons_follow_main_bound_case():
+    rng = random.Random(17)
+    reasons = {"pencil": "a point lies on every line (pencil)",
+               "quasi-pencil": "a point lies on all lines but one (quasi-pencil)"}
+    seen = set()
+    for _ in range(400):
+        d, t = _random_complete_spectrum(rng)
+        order = rng.choice((None, 5))
+        spec = abstract_spectrum(d, t, field_order=order)
+        case = main_bound_case(d, spec.s, lambda k: t.get(k, 0))[0]
+        assert case == ("pencil" if t.get(d) else "quasi-pencil" if t.get(d - 1) else "general")
+        rep = hirzebruch_check(spec)
+        if case == "general":
+            assert rep.reason == (None if order is None else "positive characteristic coordinates")
+        else:
+            assert rep.reason == reasons[case]
+        assert main_lower_bound(spec).applicable == (case != "general" or order is None)
+        seen.add((case, order))
+    assert len(seen) == 6
 
 
 def test_main_lower_bound_stays_above_minus_four():
