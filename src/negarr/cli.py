@@ -21,7 +21,8 @@ Spectrum:
                                 with it the real flag is an input error
     note free text              optional, repeatable
 
-Points (for analyze --points FILE, with a coordinates input):
+Points (for analyze --points FILE, with a coordinates input; without --points,
+analyze evaluates the full singular locus):
     field Q
     point 1 1 1
 
@@ -463,7 +464,7 @@ def _analyze_points(args, inp: InputFile) -> int:
 
 def cmd_analyze(args) -> int:
     inp = read_input(args.path)
-    if args.points != "full" and inp.kind != "points":  # _locus rejects a points input
+    if args.points is not None:
         return _analyze_points(args, inp)
     _, sp, per_line = _locus(inp)
     full = h_full(sp)
@@ -764,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full H-constant and certificate report")
     a.add_argument("path", help="coordinates or spectrum file")
-    a.add_argument("--points", default="full", metavar="full|FILE",
-                   help="evaluate over the full singular locus or a points file")
+    a.add_argument("--points", metavar="FILE",
+                   help="evaluate over the points of FILE (default: the full singular locus)")
     a.add_argument("--json", action="store_true")
     a.set_defaults(func=cmd_analyze)
 

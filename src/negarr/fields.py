@@ -186,12 +186,13 @@ class Field:
     Subclasses operate on raw canonical representations; FieldElement wraps
     them with operator syntax.  Fields compare equal when their descriptors
     (describe()) are equal, so elements created through independently built
-    but identical handles interoperate.  A subclass sets up whatever
-    describe() reads before calling Field.__init__.
+    but identical handles interoperate.
     """
 
-    def __init__(self):
-        self.key = self.describe()
+    @cached_property
+    def key(self):
+        """The descriptor, which equality, hashing and repr read."""
+        return self.describe()
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Field) and other.key == self.key)
@@ -267,7 +268,8 @@ class Field:
         return a
 
     # subclasses: _coerce_rep, _add, _sub (negation is _sub from the zero
-    # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe, and
+    # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe (first
+    # read through key, so it may use anything __init__ sets), and
     # sort_key_rep when the key is not the rep itself.  Each meet path is one
     # class, which overrides _canonical and _cross on its own arithmetic (Q
     # and GF(p) on ints, _ZechField on logs, _IntegralField fraction-free;
@@ -276,13 +278,11 @@ class Field:
     # vectors) also overrides _affine, _triple_key and _incidences
 
 
-def _integral(t):
-    """Integers in the ratio of a triple of Fractions: each times the lcm of
-    the denominators."""
-    a, b, c = t
-    m = lcm(a.denominator, b.denominator, c.denominator)
-    return (a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
-            c.numerator * (m // c.denominator))
+def _integral(values):
+    """Integers in the ratio of a sequence of Fractions: each times the lcm
+    of the denominators."""
+    m = lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values]
 
 
 def _primitive(x, y, z):
@@ -365,7 +365,6 @@ class PrimeField(Field):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
-        super().__init__()
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
@@ -618,8 +617,7 @@ class ExtensionField(Field):
             raise ValueError("modulus must be monic")
         self.modulus = coeffs
         self.degree = len(coeffs) - 1
-        super().__init__()
-        self.modulus_validated = True
+        unverified = None  # what is left unproven about the modulus
         if assume_irreducible:
             pass
         elif isinstance(base, PrimeField):
@@ -629,17 +627,13 @@ class ExtensionField(Field):
             if _has_rational_root(coeffs):
                 raise ReducibleModulus(f"{self.format_rep(self.modulus)} has a rational root")
             if self.degree > 3:
-                self.modulus_validated = False
-                warnings.warn(
-                    f"irreducibility of {self.format_rep(self.modulus)} over Q not verified "
-                    "beyond the rational root test",
-                    UnvalidatedModulusWarning,
-                    stacklevel=2,
-                )
+                unverified = "over Q not verified beyond the rational root test"
         else:
-            self.modulus_validated = False
+            unverified = f"over {base} not verified"
+        self.modulus_validated = unverified is None
+        if unverified:
             warnings.warn(
-                f"irreducibility of {self.format_rep(self.modulus)} over {base} not verified",
+                f"irreducibility of {self.format_rep(self.modulus)} {unverified}",
                 UnvalidatedModulusWarning,
                 stacklevel=2,
             )
@@ -650,16 +644,7 @@ class ExtensionField(Field):
         return tuple(out[: self.degree])
 
     def _reduce(self, coeffs):
-        cc = list(coeffs)
-        base = self.base
-        for i in range(len(cc) - 1, self.degree - 1, -1):
-            coef = cc[i]
-            if base._is_zero(coef):
-                continue
-            off = i - self.degree
-            for j, mj in enumerate(self.modulus):
-                cc[off + j] = base._sub(cc[off + j], base._mul(coef, mj))
-        return self._pad(cc[: self.degree])
+        return self._pad(_pdivmod(self.base, coeffs, self.modulus)[1])
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
@@ -850,13 +835,6 @@ class _ZechField(ExtensionField):
                             minus(wrap[a1 + b2], wrap[a2 + b1]))
 
 
-def _integral_vectors(t):
-    """Int vectors in the ratio of a triple of Fraction vectors: each
-    coefficient times the lcm of all the denominators (as _integral)."""
-    m = lcm(*(c.denominator for r in t for c in r))
-    return [[c.numerator * (m // c.denominator) for c in r] for r in t]
-
-
 class _IntegralField(ExtensionField):
     """Q[x]/(f) for a monic f with integer coefficients, meeting fraction-free.
 
@@ -931,7 +909,8 @@ class _IntegralField(ExtensionField):
                 + tuple(tuple(v // g for v in r) for r in rest))
 
     def _canonical(self, reps):
-        return self._scaled(*_integral_vectors(reps))
+        flat, k = _integral([c for r in reps for c in r]), self.degree
+        return self._scaled(flat[:k], flat[k:2 * k], flat[2 * k:])
 
     def _cross(self, u, v):
         (a1, b1, c1), (a2, b2, c2) = u, v
@@ -1036,11 +1015,10 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 def cyclotomic_field(n: int) -> Field:
     """Q adjoined a primitive n-th root of unity; plain Q for n in {1, 2}."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    modulus = cyclotomic_polynomial(n)
     if n <= 2:
         return RationalField()
-    return ExtensionField(RationalField(), cyclotomic_polynomial(n), assume_irreducible=True)
+    return ExtensionField(RationalField(), modulus, assume_irreducible=True)
 
 
 def compare_with_surd_mean(x, c) -> int:

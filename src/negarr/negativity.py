@@ -65,7 +65,9 @@ class CertificateReport:
     """Outcome of one inequality check.
 
     holds is meaningful only when applicable; slack >= 0 iff the certificate
-    holds.  note carries realizability advisories for violated inequalities.
+    holds, except where the bound is an exact value (the pencil and
+    quasi-pencil cases of main_lower_bound), which holds iff slack = 0.  note
+    carries realizability advisories for violated inequalities.
     """
 
     kind: str
@@ -242,20 +244,26 @@ def main_lower_bound(spec: Spectrum) -> CertificateReport:
     Pencil: h = 0.  Quasi-pencil (a point on d-1 lines): h = -2 + 3/d.
     Otherwise h >= -4 + (2d + t_2 + t_3/4)/s, which is strictly above -4.
     The general case rests on the Hirzebruch inequality, so it is advisory
-    only in characteristic 0; the two degenerate cases are combinatorial and
-    hold over any field.
+    only in characteristic 0.  The two degenerate values are combinatorial
+    and exact over any field: a pencil or quasi-pencil spectrum with another
+    H (such as d = 4, t_3 = 2) is realizable by no line arrangement, and
+    fails.
     """
     h = h_full(spec).h
     case, num, den = main_bound_case(spec.d, spec.s, lambda k: spec.t.get(k, 0))
     bound = Fraction(num, den)
     slack = h - bound
+    exact = case != "general"
+    holds = slack == 0 if exact else slack >= 0
     reason = note = None
-    if case == "general" and spec.field_order is not None:
+    if not exact and spec.field_order is not None:
         reason = "positive characteristic coordinates"
-    elif case == "general" and slack < 0:
+    elif exact and not holds:
+        note = f"not the H of a {case}: not realizable as a line arrangement"
+    elif not holds:
         note = "below the complex lower bound: not realizable as a complex line arrangement"
     return CertificateReport(kind=MAIN_LOWER_BOUND, applicable=reason is None,
-                             holds=slack >= 0, slack=slack, reason=reason,
+                             holds=holds, slack=slack, reason=reason,
                              bound_value=bound, note=note)
 
 

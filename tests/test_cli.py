@@ -191,6 +191,34 @@ def test_coordinates_gate_names_the_input_kind(tmp_path, capsys):
         (2, "", "error: --points FILE needs a coordinates input, not a bare spectrum\n")
 
 
+def test_points_file_named_full_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("tri.txt").write_text("field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 -1 0\n")
+    Path("full").write_text("field Q\npoint 0 0 1\npoint 1 1 1\npoint 0 1 0\n")
+    code, out, _ = _run(capsys, "analyze", "tri.txt", "--points", "full")
+    assert code == 0
+    assert "H given points = 2/3" in out
+
+
+def test_points_input_with_points_option_meets_the_coordinates_gate(tmp_path, capsys):
+    points = tmp_path / "pts.txt"
+    points.write_text("field Q\npoint 0 0 1\n")
+    assert _run(capsys, "analyze", str(points), "--points", str(points)) == \
+        (2, "", "error: --points FILE needs a coordinates input, not a points file\n")
+
+
+def test_degenerate_spectrum_with_another_h_fails_main_lower_bound(tmp_path, capsys):
+    # two points on three of four lines: a quasi-pencil's case, but H = -1,
+    # not -2 + 3/4, so no arrangement over any field has this spectrum
+    f = tmp_path / "t32.txt"
+    f.write_text("spectrum d=4\nt 3 2\n")
+    code, out, _ = _run(capsys, "analyze", str(f))
+    assert code == 1
+    assert ("  main_lower_bound: FAILS; slack = 1/4 (0.25); bound = -5/4 (-1.25); "
+            "not the H of a quasi-pencil: not realizable as a line arrangement\n") in out
+    assert out.endswith("status: certificate failure\n")
+
+
 # Makes the direct recomputation in `subconfig --remove` disagree with the
 # incidence bookkeeping, then runs the CLI.
 _INJECT_DISAGREEMENT = """

@@ -4,7 +4,10 @@ GF(p) ints (PrimeField), Zech tables (_ZechField), fraction-free Z[x]/(f)
 
 Three relations must leave the locus unchanged: a projective image of the
 lines, a permutation of the lines, and reading the lines in a larger field,
-which crosses from one meet path to another.
+which crosses from one meet path to another.  They run over every catalog
+coordinate model and over one seeded random arrangement per meet path, and a
+sign flip in the _cross of each of the four classes that have their own must
+break them (in characteristic 2 a sign flip changes nothing).
 """
 
 import random
@@ -13,7 +16,13 @@ import warnings
 import pytest
 
 from negarr.arrangement import CoordArrangement, singular_points, spectrum_of
-from negarr.catalog import gen_fermat, gen_finite_field_full, gen_generic
+from negarr.catalog import (
+    _first_irreducible,
+    catalog_entry,
+    gen_fermat,
+    gen_finite_field_full,
+    gen_generic,
+)
 from negarr.errors import IdentityViolation, UnvalidatedModulusWarning
 from negarr.fields import (
     ExtensionField,
@@ -23,6 +32,7 @@ from negarr.fields import (
     _int_det2,
     _int_reduce,
     _IntegralField,
+    _primitive,
     _ZechField,
     cyclotomic_field,
     parse_field,
@@ -187,14 +197,129 @@ def _integral_flipped(self, u, v):
     return self._scaled(_int_det2(b1, c2, b2, c1, f), second, _int_det2(a1, b2, a2, b1, f))
 
 
+def _rational_flipped(self, u, v):
+    """RationalField._cross with c1 a2 + c2 a1 for the second coordinate."""
+    (a1, b1, c1), (a2, b2, c2) = u, v
+    return _primitive(b1 * c2 - b2 * c1, c1 * a2 + c2 * a1, a1 * b2 - a2 * b1)
+
+
+def _prime_flipped(self, u, v):
+    """PrimeField._cross with c1 a2 + c2 a1 for the second coordinate."""
+    (a1, b1, c1), (a2, b2, c2) = u, v
+    p = self.p
+    return self._canonical(((b1 * c2 - b2 * c1) % p, (c1 * a2 + c2 * a1) % p,
+                            (a1 * b2 - a2 * b1) % p))
+
+
+def _catalog_model(item):
+    """The coordinate model of a catalog item such as pg2:4 or kgon:4."""
+    name, _, params = item.partition(":")
+    entry = catalog_entry(name)
+    return (entry.coords or entry.build)(*(int(p) for p in params.split(",") if p))
+
+
 @pytest.mark.parametrize("cls, mutant, name", [(_ZechField, _zech_flipped, "pg2-9"),
-                                               (_IntegralField, _integral_flipped, "fermat5")])
+                                               (_IntegralField, _integral_flipped, "fermat5"),
+                                               (RationalField, _rational_flipped, "kgon:4"),
+                                               (PrimeField, _prime_flipped, "pg2-5")])
 def test_a_sign_flip_in_a_meet_path_breaks_the_relations(cls, mutant, name, monkeypatch):
     # a broken meet shows as a changed locus, a pair count that the member
-    # sets no longer meet, or a zero cross product of two distinct lines
-    arr = _INPUTS[name][0]()
+    # sets no longer meet, or a zero cross product of two distinct lines;
+    # over Q the input needs concurrent lines (generic position hides it)
+    arr = _INPUTS[name][0]() if name in _INPUTS else _catalog_model(name)
     monkeypatch.setattr(cls, "_cross", mutant)
     rng = random.Random(name)
     for check in (lambda: _check_image(arr, rng), lambda: _check_permutation(arr, rng)):
         with pytest.raises((AssertionError, IdentityViolation, ValueError)):
             check()
+
+
+
+def _root_map(small, big, root):
+    """The embedding of small = F[x]/(f) in big that sends x to root, a root
+    of f in big, or to the first root among the elements of big when root
+    is None."""
+    def at(coeffs, x):
+        return sum((c * x ** j for j, c in enumerate(coeffs)), big.zero)
+    if root is None:
+        root = next(e for e in big.iter_elements() if not at(small.modulus, e))
+    assert not at(small.modulus, root)
+    return lambda c: at(c.value, root)
+
+
+def _check_relations(arr, rng, big, root):
+    """All three relations; root (see _root_map) embeds an extension field,
+    while a prime field or Q coerces into big (root is not read)."""
+    _check_image(arr, rng)
+    _check_permutation(arr, rng)
+    embed = _root_map(arr.field, big, root) if isinstance(arr.field, ExtensionField) else None
+    _check_embedding(arr, big, embed)
+
+
+# every catalog coordinate model: its field class, a larger field, and for
+# a cyclotomic field the image there of a root of its modulus (a finite
+# field's is found by _root_map)
+_MODELS = {
+    "generic:8": (RationalField, lambda: cyclotomic_field(5), None),
+    "pencil:6": (RationalField, lambda: parse_field("EXT Q [-1/2,0,1]"), None),
+    "quasipencil:6": (RationalField, lambda: cyclotomic_field(3), None),
+    "kgon:4": (RationalField, lambda: cyclotomic_field(4), None),
+    "fermat:4": (_IntegralField, lambda: cyclotomic_field(8), lambda big: big.gen() ** 2),
+    "dualhesse": (_IntegralField, lambda: cyclotomic_field(12), lambda big: big.gen() ** 4),
+    "pg2:3": (PrimeField, lambda: ExtensionField(PrimeField(3), [1, 0, 1]), None),
+    "pg2:4": (_ZechField, lambda: ExtensionField(PrimeField(2), [1, 1, 0, 0, 1]), None),
+}
+
+
+@pytest.mark.parametrize("item", _MODELS)
+def test_relations_over_the_catalog_coordinate_models(item):
+    cls, build_big, root = _MODELS[item]
+    arr, big = _catalog_model(item), build_big()
+    assert type(arr.field) is cls
+    _check_relations(arr, random.Random(item), big, root and root(big))
+
+
+def _random_arrangement(field, pool, d, rng):
+    """d distinct lines with coefficients drawn from pool: a small pool makes
+    concurrent lines likely."""
+    lines = {}
+    while len(lines) < d:
+        coeffs = [rng.choice(pool) for _ in range(3)]
+        if any(coeffs):
+            lines.setdefault(ProjLine(field, coeffs), None)
+    return CoordArrangement(list(lines), real=False)
+
+
+def _cyclotomic_pool(n):
+    z = cyclotomic_field(n).gen()
+    return [0, 1, -1, z, -z, z * z]
+
+
+# a seeded random arrangement on each meet path: its field, the coefficient
+# pool (by default every element), the line count, a larger field, and the
+# root as in _MODELS
+_RANDOM = {
+    "q": (RationalField, lambda: range(-2, 3), 10, lambda: cyclotomic_field(7), None),
+    "gf7": (lambda: PrimeField(7), None, 14,
+            lambda: ExtensionField(PrimeField(7), [1, 0, 1]), None),
+    "gf9": (lambda: gen_finite_field_full(9).field, None, 14,
+            lambda: ExtensionField(PrimeField(3), _first_irreducible(3, 4)), None),
+    "cyclo5": (lambda: cyclotomic_field(5), lambda: _cyclotomic_pool(5), 10,
+               lambda: cyclotomic_field(10), lambda big: big.gen() ** 2),
+    "gf4-generic": (_gf4_unchecked, None, 10, lambda: _gf4_into_gf16()[0], None),
+}
+
+
+@pytest.mark.parametrize("name", _RANDOM)
+def test_relations_over_random_arrangements(name):
+    build, pool, d, build_big, root = _RANDOM[name]
+    field, big = build(), build_big()
+    rng = random.Random(name)
+    arr = _random_arrangement(field, list(pool() if pool else field.iter_elements()), d, rng)
+    assert any(len(m) > 2 for _, m in singular_points(arr).points)
+    _check_relations(arr, rng, big, root and root(big))
+
+
+def test_the_random_arrangements_cover_the_five_meet_paths():
+    assert sorted(type(build()).__name__ for build, *_ in _RANDOM.values()) == \
+        ["ExtensionField", "PrimeField", "RationalField", "_IntegralField", "_ZechField"]

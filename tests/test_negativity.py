@@ -386,3 +386,29 @@ def test_fattening_general_spectra():
     for sp in (WIMAN, KLEIN, gen_kgon_mirror(7)):
         base = h_full(sp).h
         assert h_fattened(sp, 4) == 16 * base
+
+
+def test_main_lower_bound_degenerate_values_are_exact():
+    # a point on d or d - 1 of the lines fixes H over any field (0 for a
+    # pencil, -2 + 3/d for a quasi-pencil), so any other H is no arrangement's
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        d = rng.randint(3, 12)
+        k = rng.choice((d, d - 1))
+        pairs, t = comb(d, 2) - comb(k, 2), {k: 1}
+        for _ in range(rng.randint(0, 3)):
+            m = rng.randint(3, d)
+            if comb(m, 2) <= pairs:
+                t[m] = t.get(m, 0) + 1
+                pairs -= comb(m, 2)
+        if pairs:
+            t[2] = t.get(2, 0) + pairs
+        rep = main_lower_bound(abstract_spectrum(d, t, field_order=rng.choice((None, 5))))
+        assert rep.applicable
+        assert rep.holds == (rep.slack == 0)
+        assert (rep.note is None) == rep.holds
+        if t in ({d: 1}, {d - 1: 1, 2: d - 1}, {2: 3}):  # pencil, quasi-pencil, triangle
+            assert rep.holds
+        seen.add(rep.holds)
+    assert seen == {True, False}

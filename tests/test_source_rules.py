@@ -1,0 +1,65 @@
+"""Rules on the source of src/negarr, checked on one parse of each file.
+
+- No assert statement: python -O strips them, so every check in the package
+  must raise instead; this keeps the tier-1 run under -O meaningful.
+- No environment read: reports are byte-deterministic for identical inputs
+  and flags, so no setting may come from the caller's environment.
+- The standard library only: every absolute import names a standard-library
+  module (relative imports stay inside the package).
+"""
+
+import ast
+import sys
+from functools import cache
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@cache
+def _nodes():
+    """(file, node) for every syntax node of every file under src/negarr."""
+    return [(path.relative_to(SRC).as_posix(), node)
+            for path in sorted((SRC / "negarr").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+
+
+def _reads_env(node):
+    if isinstance(node, ast.Attribute):
+        return (node.attr in _ENV_READS and isinstance(node.value, ast.Name)
+                and node.value.id == "os")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in _ENV_READS for a in node.names)
+    return False
+
+
+def _outside_stdlib(node):
+    """The names of the non-standard-library modules that node imports."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return []
+    return [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_the_rules_read_the_package():
+    assert {"negarr/__init__.py", "negarr/cli.py", "negarr/fields.py"} <= \
+        {path for path, _ in _nodes()}
+
+
+def test_no_assert_statements():
+    assert [f"{path}:{node.lineno}" for path, node in _nodes()
+            if isinstance(node, ast.Assert)] == []
+
+
+def test_no_environment_reads():
+    assert [f"{path}:{node.lineno}" for path, node in _nodes() if _reads_env(node)] == []
+
+
+def test_standard_library_imports_only():
+    assert [f"{path}:{node.lineno}: {name}" for path, node in _nodes()
+            for name in _outside_stdlib(node)] == []
