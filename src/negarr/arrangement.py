@@ -20,7 +20,7 @@ from .errors import (
     RemovingAll,
     SingleLine,
 )
-from .fields import RationalField
+from .fields import RationalField, prime_power
 from .projective import ProjPoint, meet
 
 KEEP_ORIGINAL_POINTS = "keep_original_points"
@@ -159,8 +159,9 @@ class Spectrum:
     sum C(k,2) t_k = C(d,2) is enforced.  profile, when present, gives for
     every line the number of k-fold points on it and must satisfy
     d * profile[k] = k * t_k.  field_order is the size of the coordinate
-    field when the spectrum came from one of positive characteristic; such
-    a field embeds in no real field, so real=True with it raises ValueError.
+    field when the spectrum came from one of positive characteristic, so it
+    must be a prime power; such a field embeds in no real field, so
+    real=True with it raises ValueError.
     """
 
     __slots__ = ("d", "t", "real", "complete", "profile", "field_order")
@@ -169,6 +170,8 @@ class Spectrum:
                  field_order=None):
         if d < 1:
             raise ValueError("d must be positive")
+        if field_order is not None and prime_power(field_order) is None:
+            raise ValueError(f"field order {field_order} is not a prime power")
         clean = {}
         for k in sorted(t):
             v = t[k]

@@ -78,7 +78,7 @@ from .errors import (
     ParseError,
     SearchTooLarge,
 )
-from .fields import Field, RationalField, parse_field, prime_power
+from .fields import Field, RationalField, parse_field
 from .negativity import (
     CertificateReport,
     HReport,
@@ -170,8 +170,6 @@ def parse_input(text: str) -> InputFile:
                 raise ParseError(f"expected 'order Q', got {line!r}")
             _once(order is not None, "order row")
             order = _int_of(tokens[1], "field order")
-            if prime_power(order) is None:
-                raise ParseError(f"field order {order} is not a prime power")
         else:
             raise ParseError(f"unknown directive {key!r}")
     if spec_d is not None:

@@ -436,18 +436,16 @@ class PrimeField(Field):
 
 
 # ---- polynomial helpers over an arbitrary base field ----
-# All work on lists of raw representations, ascending degree.
+# All work on lists of raw representations, ascending degree, and copy a list
+# at most once, where they first change it; only _ptrim changes its argument.
 
 def _ptrim(field, c):
-    c = list(c)
     while c and field._is_zero(c[-1]):
         c.pop()
     return c
 
 
 def _pmul(field, a, b):
-    if not a or not b:
-        return []
     out = [field._coerce_rep(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if field._is_zero(ai):
@@ -457,43 +455,38 @@ def _pmul(field, a, b):
     return _ptrim(field, out)
 
 
-def _psub(field, a, b):
-    n = max(len(a), len(b))
-    zero = field._coerce_rep(0)
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else zero
-        bi = b[i] if i < len(b) else zero
-        out.append(field._sub(ai, bi))
-    return _ptrim(field, out)
-
-
 def _pdivmod(field, num, den):
-    den = _ptrim(field, den)
+    """Schoolbook division (Knuth, TAOCP vol. 2, 4.6.1): each step pops the
+    leading term of the remainder and updates the rest in place."""
+    den = _ptrim(field, list(den))
     if not den:
         raise DivisionByZero("polynomial division by zero")
-    num = _ptrim(field, num)
-    lead_inv = field._inv(den[-1])
-    quot = [field._coerce_rep(0)] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        coef = field._mul(rem[-1], lead_inv)
-        quot[shift] = field._add(quot[shift], coef)
+    lead_inv = field._inv(den.pop())
+    rem, k = _ptrim(field, list(num)), len(den)
+    quot = [None] * (len(rem) - k)
+    mul, sub = field._mul, field._sub
+    while len(rem) > k:
+        coef = mul(rem.pop(), lead_inv)
+        shift = len(rem) - k
+        quot[shift] = coef
         for i, di in enumerate(den):
-            rem[shift + i] = field._sub(rem[shift + i], field._mul(coef, di))
-        rem = _ptrim(field, rem)
-    return _ptrim(field, quot), rem
+            rem[shift + i] = sub(rem[shift + i], mul(coef, di))
+    return quot, _ptrim(field, rem)
 
 
 def _pinv_mod(field, a, modulus):
-    """Inverse of a modulo the given polynomial, or the nontrivial gcd found."""
-    old_r, r = _ptrim(field, a), list(modulus)
+    """(g, u) with u * a = g modulo the polynomial, g the gcd it finds."""
+    old_r, r = _ptrim(field, list(a)), _ptrim(field, list(modulus))
     old_u, u = [field._coerce_rep(1)], []
+    zero, mul, sub = field._coerce_rep(0), field._mul, field._sub
     while r:
         q, rem = _pdivmod(field, old_r, r)
         old_r, r = r, rem
-        old_u, u = u, _psub(field, old_u, _pmul(field, q, u))
+        w = old_u + [zero] * (len(q) + len(u) - 1 - len(old_u))  # old_u - q * u
+        for i, qi in enumerate(q):
+            for j, uj in enumerate(u):
+                w[i + j] = sub(w[i + j], mul(qi, uj))
+        old_u, u = u, _ptrim(field, w)
     return old_r, old_u
 
 
@@ -517,13 +510,13 @@ def is_irreducible_mod_p(field: PrimeField, coeffs) -> bool:
         return False
     for r in range(2, n + 1):
         if n % r == 0 and is_prime(r):
-            if len(_pgcd(field, list((frobenius[n // r] - x).value), coeffs)) != 1:
+            if len(_pgcd(field, (frobenius[n // r] - x).value, coeffs)) != 1:
                 return False
     return True
 
 
 def _pgcd(field, a, b):
-    a, b = _ptrim(field, a), _ptrim(field, b)
+    a, b = _ptrim(field, list(a)), _ptrim(field, list(b))
     while b:
         a, b = b, _pdivmod(field, a, b)[1]
     return a
@@ -554,8 +547,7 @@ def _has_rational_root(coeffs) -> bool:
     if f[0] == 0:
         return True
     f, _ = _pdivmod(q, f, _pgcd(q, f, [i * c for i, c in enumerate(f)][1:]))
-    denom = lcm(*(c.denominator for c in f))
-    a = [int(c * denom) for c in f]
+    a = _integral(f)
     n = len(a) - 1
     g = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
     bound = 1 + max(abs(c) for c in g[:-1])
@@ -639,9 +631,8 @@ class ExtensionField(Field):
             )
 
     def _pad(self, coeffs):
-        zero = self.base._coerce_rep(0)
-        out = list(coeffs) + [zero] * (self.degree - len(coeffs))
-        return tuple(out[: self.degree])
+        """The rep of at most degree coefficients."""
+        return (*coeffs, *itertools.repeat(self.base._coerce_rep(0), self.degree - len(coeffs)))
 
     def _reduce(self, coeffs):
         return self._pad(_pdivmod(self.base, coeffs, self.modulus)[1])
@@ -675,13 +666,12 @@ class ExtensionField(Field):
         return tuple(base._sub(x, y) for x, y in zip(a, b))
 
     def _mul(self, a, b):
-        prod = _pmul(self.base, list(a), list(b))
-        return self._reduce(prod)
+        return self._reduce(_pmul(self.base, a, b))
 
     def _inv(self, a):
         if self._is_zero(a):
             raise DivisionByZero(f"division by zero in {self}")
-        g, u = _pinv_mod(self.base, list(a), list(self.modulus))
+        g, u = _pinv_mod(self.base, a, self.modulus)
         if len(g) != 1:
             raise ReducibleModulus(f"{self.format_rep(self.modulus)} shares a factor "
                                    "with an element; modulus is reducible")

@@ -176,6 +176,16 @@ def test_spectrum_over_a_finite_field_cannot_be_real():
         Spectrum(4, {2: 6}, real=True, field_order=7)
 
 
+def test_spectrum_field_order_is_a_prime_power():
+    for order in (0, 1, 6):
+        with pytest.raises(ValueError, match=f"^field order {order} is not a prime power$"):
+            Spectrum(4, {2: 6}, field_order=order)
+    assert Spectrum(4, {2: 6}, field_order=9).field_order == 9
+    inc = IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=10)
+    with pytest.raises(ValueError, match="^field order 10 is not a prime power$"):
+        spectrum_of(inc)
+
+
 def test_abstract_spectrum_is_the_constructor():
     assert abstract_spectrum is Spectrum
     assert negarr.abstract_spectrum is negarr.Spectrum

@@ -75,6 +75,24 @@ def test_expected_spectra_match_computation():
         assert sp.t == entry.expected_spectrum(*params), (name, params)
 
 
+# Two parameters for each catalog entry that takes any.
+CLOSED_FORM_PARAMS = {
+    "generic": [(4,), (7,)], "pencil": [(3,), (6,)], "quasipencil": [(4,), (7,)],
+    "fermat": [(4,), (5,)], "dualhesse": [()], "pg2": [(2,), (4,)], "kgon": [(5,), (8,)],
+    "boroczky": [(6,), (12,)], "cubicgroup": [(9, 3), (12, 3)], "klein": [()], "wiman": [()],
+}
+
+
+def test_every_entry_matches_its_closed_forms():
+    assert set(CLOSED_FORM_PARAMS) == set(CATALOG)
+    for name, cases in CLOSED_FORM_PARAMS.items():
+        entry = CATALOG[name]
+        for params in cases:
+            sp = _spectrum_for(entry, params)
+            assert sp.t == entry.expected_spectrum(*params), (name, params)
+            assert h_full(sp).h == entry.expected_h(*params), (name, params)
+
+
 # The parameters at which each spectrum entry's coordinate model is checked.
 # A spectrum entry's expected_spectrum is its generator's own output, so only
 # a coordinate model tests those closed forms independently.

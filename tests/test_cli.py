@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import negarr
-from negarr.cli import main, parse_field, parse_input, render_spectrum
+from negarr.arrangement import CoordArrangement
+from negarr.cli import main, parse_field, parse_input, render_coords, render_spectrum
 from negarr.errors import InternalInconsistency, NegarrError
 from negarr.fields import ExtensionField, PrimeField, RationalField
+from negarr.projective import ProjLine
 
 
 def _run(capsys, *argv):
@@ -502,6 +504,11 @@ _ERROR_MESSAGES = {
                                  ("analyze", "{f}"),
                                  "error: a spectrum over the finite field of order 7 "
                                  "cannot be real\n"),
+    "unbalanced-modulus": ("field EXT Q [[1,1]\nline 1 0 0\n", ("analyze", "{f}"),
+                           "error: unbalanced brackets in '[1,1'\n"),
+    "vector-beyond-degree": ("field EXT (GF 2) [1,1,1]\nline [1,1,1] 0 1\n", ("analyze", "{f}"),
+                             "error: bad element literal '[1,1,1]' for EXT (GF 2) [1,1,1]: "
+                             "vector '[1,1,1]' longer than degree 2\n"),
 }
 
 
@@ -649,3 +656,20 @@ def test_spectrum_render_parse_round_trip():
     back = parse_input(text)
     assert back.spectrum == sp
     assert back.notes == ["remark"]
+
+
+def test_coords_render_parse_round_trip():
+    # Q(sqrt 2) embeds in R, so the flags row carries real
+    k = parse_field("EXT Q [-2,0,1]")
+    root = k.gen()
+    arr = CoordArrangement([ProjLine(k, (1, 0, 0)), ProjLine(k, (0, 1, 0)),
+                            ProjLine(k, (1, root, -1)), ProjLine(k, (root, Fraction(1, 2), 3))],
+                           real=True)
+    text = render_coords(arr, ["over Q(sqrt 2)"])
+    assert text.splitlines()[0] == "field EXT Q [-2,0,1]"
+    assert text.splitlines()[-2:] == ["flags real", "note over Q(sqrt 2)"]
+    back = parse_input(text)
+    assert back.kind == "coordinates"
+    assert back.notes == ["over Q(sqrt 2)"]
+    assert back.arrangement.real
+    assert back.arrangement.lines == arr.lines

@@ -32,7 +32,15 @@ from negarr.fields import (
     parse_field,
     prime_power,
 )
-from negarr.fields import _has_rational_root, _IntegralField, _primitive, _ZechField
+from negarr.fields import (
+    _has_rational_root,
+    _IntegralField,
+    _pdivmod,
+    _pinv_mod,
+    _pmul,
+    _primitive,
+    _ZechField,
+)
 
 Q = RationalField()
 
@@ -415,6 +423,67 @@ def test_gf4_cube_is_identity():
         if e:
             assert e ** 3 == gf4.one
     assert gf4.order == 4
+
+
+def test_extension_field_edges():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    assert gf4.element([0, 0, 1]) == gf4.element([1, 1])  # x^2 = x + 1
+    assert gf4.element([1, 0, 1, 1]) == gf4.element([1, 1])  # x^3 = 1
+    for n in (1, 2):
+        assert isinstance(cyclotomic_field(n), RationalField)
+    z3 = cyclotomic_field(3)  # x^2 + x + 1
+    x = z3.gen()
+    assert 1 - x == z3.element([1, -1])
+    assert 1 / x == x * x == z3.element([-1, -1])
+    assert 1 / gf4.gen() == gf4.element([1, 1])
+
+
+# Polynomial rings over Q, GF(7) and GF(4), whose coefficients are GF(4) reps.
+_POLY_FIELDS = {"Q": Q, "GF7": PrimeField(7), "GF4": ExtensionField(PrimeField(2), [1, 1, 1])}
+
+
+def _trimmed(field, c):
+    c = list(c)
+    while c and field._is_zero(c[-1]):
+        c.pop()
+    return c
+
+
+def _poly_sum(field, a, b):
+    pairs = itertools.zip_longest(a, b, fillvalue=field._coerce_rep(0))
+    return _trimmed(field, [field._add(x, y) for x, y in pairs])
+
+
+def _random_poly(field, rng):
+    """Up to six random coefficients, then up to two trailing zeros."""
+    zero = field._coerce_rep(0)
+    return ([_random_element(field, rng).value for _ in range(rng.randint(0, 6))]
+            + [zero] * rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("field", _POLY_FIELDS.values(), ids=_POLY_FIELDS)
+def test_polynomial_division_and_inverse_properties(field):
+    rng = random.Random(19)
+    for _ in range(300):
+        n, d = _random_poly(field, rng), _random_poly(field, rng)
+        saved = (list(n), list(d))
+        if not _trimmed(field, d):
+            with pytest.raises(DivisionByZero):
+                _pdivmod(field, n, d)
+            continue
+        q, r = _pdivmod(field, n, d)
+        assert (n, d) == saved
+        assert _pdivmod(field, tuple(n), tuple(d)) == (q, r)
+        assert q == _trimmed(field, q) and r == _trimmed(field, r)
+        assert len(r) < len(_trimmed(field, d))
+        assert _poly_sum(field, _pmul(field, q, d), r) == _trimmed(field, n)
+        # u n = g modulo d, where g divides both n and d
+        g, u = _pinv_mod(field, n, d)
+        assert (n, d) == saved
+        assert _pinv_mod(field, tuple(n), tuple(d)) == (g, u)
+        assert g == _trimmed(field, g) and u == _trimmed(field, u)
+        assert _pdivmod(field, _pmul(field, u, n), d)[1] == _pdivmod(field, g, d)[1]
+        assert _pdivmod(field, n, g)[1] == _pdivmod(field, d, g)[1] == []
 
 
 def test_field_descriptions():
