@@ -10,16 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from .errors import (
-    EmptyPointSet,
-    EmptyResult,
-    FieldMismatch,
-    IdentityViolation,
-    NoIncidenceData,
-    ProfileInconsistent,
-    RemovingAll,
-    SingleLine,
-)
+from .errors import EmptyResult, IdentityViolation, NegarrError
 from .fields import RationalField, prime_power
 from .projective import ProjPoint, meet
 
@@ -35,10 +26,21 @@ def _distinct_over_one_field(items, kind: str, empty: Exception) -> tuple:
         raise empty
     field = items[0].field
     if any(x.field != field for x in items):
-        raise FieldMismatch(f"{kind} over different fields")
+        raise NegarrError(f"{kind} over different fields")
     if len(set(items)) != len(items):
         raise ValueError(f"{kind} must be pairwise distinct")
     return items
+
+
+def _check_field_order(noun: str, real, field_order) -> None:
+    """A field_order, when given, must be a prime power, and a field of
+    positive characteristic embeds in no real field; noun names the holder."""
+    if field_order is None:
+        return
+    if prime_power(field_order) is None:
+        raise ValueError(f"field order {field_order} is not a prime power")
+    if real:
+        raise ValueError(f"{noun} over the finite field of order {field_order} cannot be real")
 
 
 class PointSet:
@@ -48,7 +50,7 @@ class PointSet:
 
     def __init__(self, points):
         self.points = _distinct_over_one_field(
-            points, "points", EmptyPointSet("point set is empty"))
+            points, "points", NegarrError("point set is empty"))
 
     @property
     def field(self):
@@ -104,12 +106,13 @@ class IncidenceStructure:
     points are exactly the full singular locus of the lines, in which case the
     pair-count identity sum C(m_i,2) = C(d,2) is enforced.  Points of
     multiplicity below 2 are allowed (and only appear) when a removal kept the
-    original point set.
+    original point set.  field_order follows the rules of Spectrum's.
     """
 
     __slots__ = ("line_labels", "points", "on_line", "complete", "real", "field_order")
 
     def __init__(self, line_labels, points, *, complete, real=False, field_order=None):
+        _check_field_order("an incidence structure", real, field_order)
         labels = tuple(line_labels)
         if len(set(labels)) != len(labels):
             raise ValueError("line labels must be distinct")
@@ -170,8 +173,7 @@ class Spectrum:
                  field_order=None):
         if d < 1:
             raise ValueError("d must be positive")
-        if field_order is not None and prime_power(field_order) is None:
-            raise ValueError(f"field order {field_order} is not a prime power")
+        _check_field_order("a spectrum", real, field_order)
         clean = {}
         for k in sorted(t):
             v = t[k]
@@ -191,16 +193,12 @@ class Spectrum:
         if profile is not None:
             prof = {k: profile[k] for k in sorted(profile) if profile[k]}
             if set(prof) != set(clean):
-                raise ProfileInconsistent(
+                raise NegarrError(
                     f"profile multiplicities {sorted(prof)} != spectrum {sorted(clean)}")
             for k, c in prof.items():
                 if d * c != k * clean[k]:
-                    raise ProfileInconsistent(
-                        f"d*profile[{k}] = {d * c} but k*t_{k} = {k * clean[k]}")
+                    raise NegarrError(f"d*profile[{k}] = {d * c} but k*t_{k} = {k * clean[k]}")
             profile = prof
-        if real and field_order is not None:
-            raise ValueError(f"a spectrum over the finite field of order {field_order} "
-                             "cannot be real")
         self.d = d
         self.t = clean
         self.real = bool(real)
@@ -254,7 +252,7 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     line, and its member set is complete before any later line is walked.
     """
     if arr.d < 2:
-        raise SingleLine("need at least two lines to intersect")
+        raise NegarrError("need at least two lines to intersect")
     acc: dict[tuple, set[int]] = {}  # stored reps of each point: its members
     lines = arr.lines
     found_on = [[] for _ in lines]  # member sets of the points found on each line
@@ -289,7 +287,7 @@ def multiplicities(arr: CoordArrangement, points) -> list[int]:
     points = tuple(points)
     for p in points:
         if p.field != field:
-            raise FieldMismatch("point and arrangement over different fields")
+            raise NegarrError("point and arrangement over different fields")
     return field._incidences([p._r for p in points], [l._r for l in arr.lines])
 
 
@@ -350,7 +348,7 @@ def remove_lines(inc: IncidenceStructure, removed,
     if not removed <= label_set:
         raise ValueError(f"unknown line labels: {sorted(removed - label_set)}")
     if removed == label_set:
-        raise RemovingAll("cannot remove every line")
+        raise NegarrError("cannot remove every line")
     new_labels = tuple(l for l in inc.line_labels if l not in removed)
     stripped = [(key, members - removed) for key, members in inc.points]
     if policy == RESTRICT_TO_NEW_SINGULAR:
@@ -381,7 +379,7 @@ def equidistribution(x):
     """
     if isinstance(x, Spectrum):
         if x.profile is None:
-            raise NoIncidenceData("spectrum carries no per-line profile")
+            raise NegarrError("spectrum carries no per-line profile")
         return sum(x.profile.values())
     values = {len(ids) for ids in x.on_line.values()}
     if len(values) == 1:

@@ -15,14 +15,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .arrangement import CoordArrangement, Spectrum
-from .errors import (
-    BadParameter,
-    BadSize,
-    BadTorsion,
-    NonIntegralSpectrum,
-    NotPrimePower,
-    UnknownCatalogName,
-)
+from .errors import InternalInconsistency, NegarrError
 from .fields import (
     ExtensionField,
     PrimeField,
@@ -44,7 +37,7 @@ BOROCZKY_NOTE = (
 def gen_generic(r: int) -> CoordArrangement:
     """r tangent lines of the parabola y = x^2: no three concurrent."""
     if r < 2:
-        raise BadSize("generic position needs at least 2 lines")
+        raise NegarrError("generic position needs at least 2 lines")
     q = RationalField()
     lines = [ProjLine(q, (2 * t, -1, -t * t)) for t in range(r)]
     return CoordArrangement(lines, real=True)
@@ -53,7 +46,7 @@ def gen_generic(r: int) -> CoordArrangement:
 def gen_pencil(d: int) -> CoordArrangement:
     """d lines through a single point."""
     if d < 2:
-        raise BadSize("a pencil needs at least 2 lines")
+        raise NegarrError("a pencil needs at least 2 lines")
     q = RationalField()
     lines = [ProjLine(q, (1, -i, 0)) for i in range(d - 1)]
     lines.append(ProjLine(q, (0, 1, 0)))
@@ -63,7 +56,7 @@ def gen_pencil(d: int) -> CoordArrangement:
 def gen_quasi_pencil(d: int) -> CoordArrangement:
     """d-1 concurrent lines plus one transversal."""
     if d < 3:
-        raise BadSize("a quasi-pencil needs at least 3 lines")
+        raise NegarrError("a quasi-pencil needs at least 3 lines")
     transversal = ProjLine(RationalField(), (0, 0, 1))
     return CoordArrangement([*gen_pencil(d - 1).lines, transversal], real=True)
 
@@ -75,7 +68,7 @@ def gen_fermat(n: int) -> CoordArrangement:
     dual Hesse configuration.
     """
     if n < 3:
-        raise BadSize("the family needs n >= 3")
+        raise NegarrError("the family needs n >= 3")
     field = cyclotomic_field(n)
     z = field.gen()
     powers = [field.one]
@@ -97,14 +90,14 @@ def _first_irreducible(p: int, k: int):
         coeffs = tail + (1,)
         if is_irreducible_mod_p(field, coeffs):
             return coeffs
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InternalInconsistency(f"no monic irreducible polynomial of degree {k} over GF({p})")
 
 
 def gen_finite_field_full(q: int) -> CoordArrangement:
     """All q^2 + q + 1 lines of the projective plane over the q-element field."""
     pk = prime_power(q)
     if pk is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise NegarrError(f"{q} is not a prime power")
     p, k = pk
     if k == 1:
         field = PrimeField(p)
@@ -132,7 +125,7 @@ def gen_kgon_mirror(k: int) -> Spectrum:
     (merged into t_3 when k = 3).
     """
     if k < 3:
-        raise BadSize("a polygon needs at least 3 sides")
+        raise NegarrError("a polygon needs at least 3 sides")
     t = _merge_counts((2, k), (3, comb(k, 2)), (k, 1))
     return Spectrum(2 * k, t, real=True, complete=True)
 
@@ -140,7 +133,7 @@ def gen_kgon_mirror(k: int) -> Spectrum:
 def gen_kgon_mirror_coords(k: int) -> CoordArrangement:
     """Rational coordinates for the k = 4 case: the square with its mirrors."""
     if k != 4:
-        raise BadParameter("rational coordinates are only provided for k = 4")
+        raise NegarrError("rational coordinates are only provided for k = 4")
     q = RationalField()
     lines = [
         ProjLine(q, (1, 0, -1)),
@@ -158,7 +151,7 @@ def gen_kgon_mirror_coords(k: int) -> CoordArrangement:
 def gen_boroczky(k: int) -> Spectrum:
     """Near-pencil-free family with t_2 = k - 3 and t_3 = 1 + k(k-3)/6."""
     if k < 6 or k % 6:
-        raise BadParameter("k must be a positive multiple of 6")
+        raise NegarrError("k must be a positive multiple of 6")
     t = {2: k - 3, 3: 1 + k * (k - 3) // 6}
     return Spectrum(k, t, real=True, complete=True)
 
@@ -170,12 +163,12 @@ def gen_group_on_cubic(k: int, w: int) -> Spectrum:
     the spectrum is t_2 = k - w, t_3 = k(k-3)/6 + w/3 and must be integral.
     """
     if w not in (1, 3, 9) or w > k:
-        raise BadTorsion(f"torsion count w = {w} is impossible for group order {k}")
+        raise NegarrError(f"torsion count w = {w} is impossible for group order {k}")
     if k < 3:
-        raise BadSize("the construction needs at least 3 lines")
+        raise NegarrError("the construction needs at least 3 lines")
     t3 = Fraction(k * (k - 3), 6) + Fraction(w, 3)
     if t3.denominator != 1:
-        raise NonIntegralSpectrum(f"t_3 = {t3} is not an integer for (k, w) = ({k}, {w})")
+        raise NegarrError(f"t_3 = {t3} is not an integer for (k, w) = ({k}, {w})")
     t = _merge_counts((2, k - w), (3, int(t3)))
     return Spectrum(k, t, real=False, complete=True)
 
@@ -212,7 +205,7 @@ def _h_fermat(n):
 
 def _h_pg2(q):
     if prime_power(q) is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise NegarrError(f"{q} is not a prime power")
     return Fraction(-q)
 
 
@@ -304,5 +297,5 @@ def catalog_entry(name: str) -> CatalogEntry:
     try:
         return CATALOG[name]
     except KeyError:
-        raise UnknownCatalogName(
+        raise NegarrError(
             f"unknown catalog name {name!r}; known: {', '.join(CATALOG)}") from None

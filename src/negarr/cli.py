@@ -69,15 +69,7 @@ from .arrangement import (
     spectrum_of,
 )
 from .catalog import catalog_entry
-from .errors import (
-    EmptyResult,
-    InternalInconsistency,
-    NegarrError,
-    NoIncidenceData,
-    NotEquidistributed,
-    ParseError,
-    SearchTooLarge,
-)
+from .errors import EmptyResult, InternalInconsistency, NegarrError
 from .fields import Field, RationalField, parse_field
 from .negativity import (
     CertificateReport,
@@ -147,12 +139,12 @@ def parse_input(text: str) -> InputFile:
             rows.append(tokens)
         elif key == "spectrum":
             if len(tokens) != 2 or not tokens[1].startswith("d="):
-                raise ParseError(f"expected 'spectrum d=N', got {line!r}")
+                raise NegarrError(f"expected 'spectrum d=N', got {line!r}")
             _once(spec_d is not None, "spectrum row")
             spec_d = _int_of(tokens[1][2:], "line count")
         elif key in ("t", "profile"):
             if len(tokens) != 3:
-                raise ParseError(f"expected '{key} K COUNT', got {line!r}")
+                raise NegarrError(f"expected '{key} K COUNT', got {line!r}")
             counts = t if key == "t" else profile
             k = _int_of(tokens[1], "multiplicity")
             _once(k in counts, f"{key} row for multiplicity {k}")
@@ -164,38 +156,38 @@ def parse_input(text: str) -> InputFile:
             complete = "complete" in tokens[1:]
             for tok in tokens[1:]:
                 if tok not in ("real", "complete"):
-                    raise ParseError(f"unknown flag {tok!r}")
+                    raise NegarrError(f"unknown flag {tok!r}")
         elif key == "order":
             if len(tokens) != 2:
-                raise ParseError(f"expected 'order Q', got {line!r}")
+                raise NegarrError(f"expected 'order Q', got {line!r}")
             _once(order is not None, "order row")
             order = _int_of(tokens[1], "field order")
         else:
-            raise ParseError(f"unknown directive {key!r}")
+            raise NegarrError(f"unknown directive {key!r}")
     if spec_d is not None:
         if rows:
-            raise ParseError("a file holds either a spectrum or coordinates, not both")
+            raise NegarrError("a file holds either a spectrum or coordinates, not both")
         if field is not None:
-            raise ParseError("a spectrum file takes no field row")
+            raise NegarrError("a spectrum file takes no field row")
         if not t:
-            raise ParseError("spectrum block has no t rows")
+            raise NegarrError("spectrum block has no t rows")
         sp = Spectrum(spec_d, t, real=real, complete=complete,
                       profile=profile or None, field_order=order)
         return InputFile("spectrum", spectrum=sp, notes=notes)
     if not rows:
-        raise ParseError("input holds no lines, points, or spectrum")
+        raise NegarrError("input holds no lines, points, or spectrum")
     if t or profile or order is not None:
-        raise ParseError("t, profile and order rows belong in a spectrum file")
+        raise NegarrError("t, profile and order rows belong in a spectrum file")
     kind = rows[0][0]
     if any(row[0] != kind for row in rows):
-        raise ParseError("a file holds either line rows or point rows, not both")
+        raise NegarrError("a file holds either line rows or point rows, not both")
     if flagged and kind == "point":
-        raise ParseError("a points file takes no flags row")
+        raise NegarrError("a points file takes no flags row")
     if flagged and complete:
-        raise ParseError("a coordinates file takes only the real flag; "
-                         "complete belongs in a spectrum file")
+        raise NegarrError("a coordinates file takes only the real flag; "
+                          "complete belongs in a spectrum file")
     if field is None:
-        raise ParseError(f"{kind} rows need a field row")
+        raise NegarrError(f"{kind} rows need a field row")
     triples = [_triple(field, row) for row in rows]
     if kind == "point":
         return InputFile("points", points=PointSet([ProjPoint(field, c) for c in triples]),
@@ -209,26 +201,26 @@ def _triple(field: Field, row):
     """The reps of the three element literals (the syntax format_rep emits)
     of a 'line' or 'point' row."""
     if len(row) != 4:
-        raise ParseError(f"{row[0]} rows need three entries, got {row[1:]}")
+        raise NegarrError(f"{row[0]} rows need three entries, got {row[1:]}")
     reps = []
     for token in row[1:]:
         try:
             reps.append(field.parse_rep(token))
         except ValueError as exc:
-            raise ParseError(f"bad element literal {token!r} for {field!r}: {exc}") from None
+            raise NegarrError(f"bad element literal {token!r} for {field!r}: {exc}") from None
     return reps
 
 
 def _once(seen: bool, row: str):
     if seen:
-        raise ParseError(f"a file takes one {row}")
+        raise NegarrError(f"a file takes one {row}")
 
 
 def _int_of(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"bad {what} {text!r}") from None
+        raise NegarrError(f"bad {what} {text!r}") from None
 
 
 def read_input(path: str) -> InputFile:
@@ -356,7 +348,7 @@ def _input_line(path: str, inp: InputFile) -> str:
 def _locus(inp: InputFile):
     """(incidence structure or None, spectrum, points per line or None)."""
     if inp.kind == "points":
-        raise ParseError("a points file cannot be analyzed on its own")
+        raise NegarrError("a points file cannot be analyzed on its own")
     if inp.kind == "coordinates":
         inc = singular_points(inp.arrangement)
         return inc, spectrum_of(inc), equidistribution(inc)
@@ -368,7 +360,7 @@ def _coordinates(inp: InputFile, need: str) -> CoordArrangement:
     """The arrangement of a coordinates input; need says what asks for it."""
     if inp.kind != "coordinates":
         kind = "a bare spectrum" if inp.kind == "spectrum" else "a points file"
-        raise NoIncidenceData(f"{need}, not {kind}")
+        raise NegarrError(f"{need}, not {kind}")
     return inp.arrangement
 
 
@@ -401,12 +393,12 @@ def _parse_item(item: str):
         try:
             params = tuple(int(x) for x in rest.split(","))
         except ValueError:
-            raise ParseError(f"catalog parameters must be integers: {rest!r}") from None
+            raise NegarrError(f"catalog parameters must be integers: {rest!r}") from None
     else:
         params = ()
     if len(params) != entry.arity:
         names = ",".join(entry.param_names) or "none"
-        raise ParseError(f"{name} takes parameters ({names}), got {len(params)}")
+        raise NegarrError(f"{name} takes parameters ({names}), got {len(params)}")
     return entry, params
 
 
@@ -420,7 +412,7 @@ def cmd_generate(args) -> int:
         elif entry.coords is not None:
             arr = entry.coords(*params)
         else:
-            raise ParseError(f"{entry.name} has no coordinate model")
+            raise NegarrError(f"{entry.name} has no coordinate model")
         content = render_coords(arr, notes)
     else:
         obj = entry.build(*params)
@@ -439,7 +431,7 @@ def _analyze_points(args, inp: InputFile) -> int:
     arr = _coordinates(inp, "--points FILE needs a coordinates input")
     pts_inp = read_input(args.points)
     if pts_inp.kind != "points":
-        raise ParseError(f"{args.points} is not a points file")
+        raise NegarrError(f"{args.points} is not a points file")
     pts = pts_inp.points
     counts = multiplicities(arr, pts)
     given = h_of_multiplicities(arr.d, counts)
@@ -500,10 +492,10 @@ def _parse_indices(text: str, d: int):
     try:
         indices = sorted({int(x) for x in text.split(",")})
     except ValueError:
-        raise ParseError(f"bad index list {text!r}") from None
+        raise NegarrError(f"bad index list {text!r}") from None
     for i in indices:
         if not 0 <= i < d:
-            raise ParseError(f"line index {i} out of range 0..{d - 1}")
+            raise NegarrError(f"line index {i} out of range 0..{d - 1}")
     return indices
 
 
@@ -563,7 +555,7 @@ def _subconfig_pairs(args, inp: InputFile) -> int:
     m = args.pairs_meeting
     inc, sp, _ = _locus(inp)
     if inc is not None and sp.profile is None:
-        raise NotEquidistributed(
+        raise NegarrError(
             "per-line point profiles differ; profile-based pair removal unavailable")
     rep = pair_removal_from_profile(sp, m)
     direct_pair = None
@@ -598,14 +590,13 @@ def _subconfig_pairs(args, inp: InputFile) -> int:
 def _subconfig_formula_cmd(args, inp: InputFile) -> int:
     parts = args.formula.split(",")
     if len(parts) not in (1, 2):
-        raise ParseError(f"expected D or D,N after --formula, got {args.formula!r}")
+        raise NegarrError(f"expected D or D,N after --formula, got {args.formula!r}")
     d_prime = _int_of(parts[0], "subconfiguration size")
     n_given = _int_of(parts[1], "points per line") if len(parts) == 2 else None
     _, sp, per_line = _locus(inp)
     n = n_given if n_given is not None else per_line
     if n is None:
-        raise NotEquidistributed(
-            "points per line unknown; give it explicitly as --formula D,N")
+        raise NegarrError("points per line unknown; give it explicitly as --formula D,N")
     h0 = h_full(sp).h
     value = subconfig_formula(h0, sp.d, d_prime, n, sp.s)
 
@@ -686,11 +677,11 @@ def cmd_search(args) -> int:
     d = arr.d
     max_remove = min(args.max_remove, d - 1)
     if max_remove < 1:
-        raise ParseError("nothing to remove")
+        raise NegarrError("nothing to remove")
     budget = args.budget
     total = sum(comb(d, j) for j in range(1, max_remove + 1))
     if total > budget:
-        raise SearchTooLarge(f"{total} candidate subsets exceed the budget of {budget}")
+        raise NegarrError(f"{total} candidate subsets exceed the budget of {budget}")
     inc = singular_points(arr)
 
     # H = num / s' over the new singular locus, compared by cross-multiplying.

@@ -1,15 +1,18 @@
 """Exception types shared across the package.
 
-Everything user-triggerable derives from NegarrError so the command line
-layer can map any of it to a single input-error exit code.
-InternalInconsistency is the one exception that is not user-triggerable.
+Every user-triggerable error is a NegarrError, and its message says which
+rule the input broke; the command line maps any of them to the input-error
+exit code.  A subclass exists only where some code handles that case on its
+own: DivisionByZero (also a ZeroDivisionError), EmptyResult and
+IdentityViolation.  InternalInconsistency is the one exception that is not
+user-triggerable.
 """
 
 from __future__ import annotations
 
 
 class NegarrError(Exception):
-    """Base class for all library errors."""
+    """An input error: the message names the rule that was broken."""
 
 
 class InternalInconsistency(Exception):
@@ -21,56 +24,7 @@ class InternalInconsistency(Exception):
     """
 
 
-# ---- field construction and arithmetic ----
-
-class NotPrime(NegarrError):
-    pass
-
-
-class ReducibleModulus(NegarrError):
-    pass
-
-
 class DivisionByZero(NegarrError, ZeroDivisionError):
-    pass
-
-
-class FieldMismatch(NegarrError):
-    pass
-
-
-class NegativeDiscriminantInput(NegarrError):
-    pass
-
-
-class UnvalidatedModulusWarning(UserWarning):
-    """Irreducibility of an extension modulus was asserted, not verified."""
-
-
-# ---- projective primitives ----
-
-class EqualLines(NegarrError):
-    pass
-
-
-class EqualPoints(NegarrError):
-    pass
-
-
-# ---- arrangements and incidence data ----
-
-class SingleLine(NegarrError):
-    pass
-
-
-class IdentityViolation(NegarrError):
-    def __init__(self, lhs, rhs, msg="pair-count identity violated"):
-        super().__init__(f"{msg}: sum C(m_i,2) = {lhs} but C(d,2) = {rhs}")
-        self.lhs = lhs
-        self.rhs = rhs
-
-
-class ProfileInconsistent(NegarrError):
     pass
 
 
@@ -78,67 +32,11 @@ class EmptyResult(NegarrError):
     pass
 
 
-class NoIncidenceData(NegarrError):
-    pass
+class IdentityViolation(NegarrError):
+    def __init__(self, lhs, rhs):
+        super().__init__(f"pair-count identity violated: sum C(m_i,2) = {lhs} "
+                         f"but C(d,2) = {rhs}")
 
 
-class RemovingAll(NegarrError):
-    pass
-
-
-# ---- negativity computations ----
-
-class EmptyPointSet(NegarrError):
-    pass
-
-
-class IncompleteLocus(NegarrError):
-    pass
-
-
-class InvalidSubsize(NegarrError):
-    pass
-
-
-class BadMultiplicity(NegarrError):
-    pass
-
-
-# ---- catalog parameters ----
-
-class NotPrimePower(NegarrError):
-    pass
-
-
-class BadSize(NegarrError):
-    pass
-
-
-class BadParameter(NegarrError):
-    pass
-
-
-class NonIntegralSpectrum(NegarrError):
-    pass
-
-
-class BadTorsion(NegarrError):
-    pass
-
-
-class UnknownCatalogName(NegarrError):
-    pass
-
-
-# ---- command line ----
-
-class ParseError(NegarrError):
-    pass
-
-
-class SearchTooLarge(NegarrError):
-    pass
-
-
-class NotEquidistributed(NegarrError):
-    pass
+class UnvalidatedModulusWarning(UserWarning):
+    """Irreducibility of an extension modulus was asserted, not verified."""

@@ -16,11 +16,8 @@ from operator import mul
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     InternalInconsistency,
-    NegativeDiscriminantInput,
-    NotPrime,
-    ReducibleModulus,
+    NegarrError,
     UnvalidatedModulusWarning,
 )
 
@@ -81,7 +78,7 @@ class FieldElement:
     """A value of some Field, stored in canonical form.
 
     Supports the usual operators; mixing elements of distinct fields raises
-    FieldMismatch, plain ints (and Fractions where meaningful) are coerced.
+    NegarrError, plain ints (and Fractions where meaningful) are coerced.
     """
 
     __slots__ = ("field", "value")
@@ -93,7 +90,7 @@ class FieldElement:
     def _rep(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise FieldMismatch(f"cannot mix {self.field} and {other.field}")
+                raise NegarrError(f"cannot mix {self.field} and {other.field}")
             return other.value
         if isinstance(other, (int, Fraction)):
             return self.field._coerce_rep(other)
@@ -308,7 +305,7 @@ class RationalField(Field):
         if isinstance(v, FieldElement):
             if v.field == self:
                 return v.value
-            raise FieldMismatch(f"cannot place {v!r} of {v.field} into {self}")
+            raise NegarrError(f"cannot place {v!r} of {v.field} into {self}")
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         raise TypeError(f"cannot interpret {v!r} as a rational")
@@ -363,14 +360,14 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise NegarrError(f"{p} is not prime")
         self.p = p
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
             if v.field == self:
                 return v.value
-            raise FieldMismatch(f"cannot place {v!r} of {v.field} into {self}")
+            raise NegarrError(f"cannot place {v!r} of {v.field} into {self}")
         if isinstance(v, int):
             return v % self.p
         if isinstance(v, Fraction):
@@ -614,10 +611,10 @@ class ExtensionField(Field):
             pass
         elif isinstance(base, PrimeField):
             if not is_irreducible_mod_p(base, coeffs):
-                raise ReducibleModulus(f"{self.format_rep(self.modulus)} factors over {base}")
+                raise NegarrError(f"{self.format_rep(self.modulus)} factors over {base}")
         elif isinstance(base, RationalField):
             if _has_rational_root(coeffs):
-                raise ReducibleModulus(f"{self.format_rep(self.modulus)} has a rational root")
+                raise NegarrError(f"{self.format_rep(self.modulus)} has a rational root")
             if self.degree > 3:
                 unverified = "over Q not verified beyond the rational root test"
         else:
@@ -643,7 +640,7 @@ class ExtensionField(Field):
                 return v.value
             if v.field == self.base:
                 return self._pad([v.value])
-            raise FieldMismatch(f"cannot place {v!r} of {v.field} into {self}")
+            raise NegarrError(f"cannot place {v!r} of {v.field} into {self}")
         if isinstance(v, (int, Fraction)):
             return self._pad([self.base._coerce_rep(v)])
         if isinstance(v, (list, tuple)):
@@ -673,8 +670,8 @@ class ExtensionField(Field):
             raise DivisionByZero(f"division by zero in {self}")
         g, u = _pinv_mod(self.base, a, self.modulus)
         if len(g) != 1:
-            raise ReducibleModulus(f"{self.format_rep(self.modulus)} shares a factor "
-                                   "with an element; modulus is reducible")
+            raise NegarrError(f"{self.format_rep(self.modulus)} shares a factor "
+                              "with an element; modulus is reducible")
         scale = self.base._inv(g[0])
         return self._pad([self.base._mul(c, scale) for c in u])
 
@@ -864,8 +861,8 @@ class _IntegralField(ExtensionField):
         while rows:
             at = next((i for i, row in enumerate(rows) if row[0]), None)
             if at is None:  # a is a zero divisor
-                raise ReducibleModulus(f"{self.format_rep(self.modulus)} shares a factor "
-                                       "with an element; modulus is reducible")
+                raise NegarrError(f"{self.format_rep(self.modulus)} shares a factor "
+                                  "with an element; modulus is reducible")
             top = rows.pop(at)
             upper.append(top)
             pivot, tail = top[0], top[1:]
@@ -1021,7 +1018,7 @@ def compare_with_surd_mean(x, c) -> int:
     x = Fraction(x)
     c = Fraction(c)
     if c < 0:
-        raise NegativeDiscriminantInput(f"c = {c} is negative")
+        raise NegarrError(f"c = {c} is negative")
     if 2 * x <= 1:
         return LESS
     lhs = (2 * x - 1) ** 2

@@ -23,13 +23,7 @@ from .arrangement import (
     Spectrum,
     multiplicities,
 )
-from .errors import (
-    BadMultiplicity,
-    IncompleteLocus,
-    InternalInconsistency,
-    InvalidSubsize,
-    NoIncidenceData,
-)
+from .errors import InternalInconsistency, NegarrError
 from .fields import compare_with_surd_mean
 
 FORMULA_GENERAL = "general_quadratic"
@@ -114,7 +108,7 @@ def h_of_multiplicities(d, mults) -> HReport:
 
 def _require_complete(spec: Spectrum) -> None:
     if not spec.complete:
-        raise IncompleteLocus("spectrum is not flagged complete")
+        raise NegarrError("spectrum is not flagged complete")
 
 
 def h_at_points(arr: CoordArrangement, points) -> HReport:
@@ -342,7 +336,7 @@ def subconfig_formula(h, d: int, d_prime: int, n: int, s: int) -> Fraction:
     """H over the original locus after shrinking d lines to d', each line
     carrying n of the s marked points:  h + (d - d')(n - 1)/s."""
     if not 1 <= d_prime <= d:
-        raise InvalidSubsize(f"need 1 <= d' <= d, got d' = {d_prime}, d = {d}")
+        raise NegarrError(f"need 1 <= d' <= d, got d' = {d_prime}, d = {d}")
     if n < 1:
         raise ValueError("points per line must be at least 1")
     if s < 1:
@@ -361,18 +355,19 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     """
     m = meeting_multiplicity
     if spec.profile is None:
-        raise NoIncidenceData("spectrum carries no per-line profile")
+        raise NegarrError("spectrum carries no per-line profile")
     _require_complete(spec)
     if m not in spec.t:
-        raise BadMultiplicity(f"no point of multiplicity {m} in the spectrum")
-    if spec.d < 3:
-        raise InvalidSubsize("need at least three lines to remove two")
+        raise NegarrError(f"no point of multiplicity {m} in the spectrum")
+    if spec.d < 4:
+        raise NegarrError("need at least four lines to remove two: "
+                          "one line left has no singular point")
     new_counts: Counter = Counter()
     for k, tk in spec.t.items():
         meeting = int(k == m)
         on_removed = 2 * (spec.profile.get(k, 0) - meeting)
         if on_removed < 0 or on_removed + meeting > tk:
-            raise BadMultiplicity(
+            raise NegarrError(
                 f"profile places more multiplicity-{k} points on the pair than exist")
         new_counts[k] += tk - on_removed - meeting
         new_counts[k - 1] += on_removed
@@ -390,7 +385,7 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
 def wiman_pair_removal(meeting_multiplicity: int) -> PairRemovalReport:
     """Pair removal for the 45-line Wiman configuration, by meeting multiplicity."""
     if meeting_multiplicity not in (3, 4, 5):
-        raise BadMultiplicity(
+        raise NegarrError(
             f"Wiman points have multiplicity 3, 4, or 5, not {meeting_multiplicity}")
     from .catalog import gen_wiman
 

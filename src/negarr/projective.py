@@ -13,7 +13,7 @@ leftmost 1, and sort_key is the field's _triple_key.
 
 from __future__ import annotations
 
-from .errors import EqualLines, EqualPoints, FieldMismatch
+from .errors import NegarrError
 from .fields import Field, FieldElement
 
 
@@ -77,29 +77,29 @@ class ProjLine(_Triple):
     coeffs = property(_Triple._elements)
 
 
-def _cross(u: _Triple, v: _Triple, noun: str, coincide, result):
+def _cross(u: _Triple, v: _Triple, noun: str, result):
     """The meet of two distinct lines, or the join of two distinct points."""
     field = u.field
     if field is not v.field and field != v.field:
-        raise FieldMismatch(f"{noun} live over {field} and {v.field}")
+        raise NegarrError(f"{noun} live over {field} and {v.field}")
     if u._r == v._r:
-        raise coincide(f"{noun} coincide: {u!r}")
+        raise NegarrError(f"{noun} coincide: {u!r}")
     return result._of_canonical(field, field._cross(u._r, v._r))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
-    return _cross(l1, l2, "lines", EqualLines, ProjPoint)
+    return _cross(l1, l2, "lines", ProjPoint)
 
 
 def join(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
-    return _cross(p1, p2, "points", EqualPoints, ProjLine)
+    return _cross(p1, p2, "points", ProjLine)
 
 
 def incident(point: ProjPoint, line: ProjLine) -> bool:
     """Exact incidence test: does the point lie on the line?"""
     field = point.field
     if field != line.field:
-        raise FieldMismatch(f"point over {field}, line over {line.field}")
+        raise NegarrError(f"point over {field}, line over {line.field}")
     return field._incidences((point._r,), (line._r,)) == [1]

@@ -33,14 +33,9 @@ from negarr.catalog import (
     gen_quasi_pencil,
 )
 from negarr.errors import (
-    EmptyPointSet,
     EmptyResult,
-    FieldMismatch,
     IdentityViolation,
-    NoIncidenceData,
-    ProfileInconsistent,
-    RemovingAll,
-    SingleLine,
+    NegarrError,
     UnvalidatedModulusWarning,
 )
 from negarr.fields import (
@@ -107,7 +102,7 @@ def test_fermat4_locus():
 
 
 def test_single_line_rejected():
-    with pytest.raises(SingleLine):
+    with pytest.raises(NegarrError, match="^need at least two lines to intersect$"):
         singular_points(CoordArrangement([ProjLine(Q, (1, 0, 0))]))
 
 
@@ -126,7 +121,7 @@ def test_multiplicity_lookup():
 
 
 def test_point_set_validation():
-    with pytest.raises(EmptyPointSet):
+    with pytest.raises(NegarrError, match="^point set is empty$"):
         PointSet([])
     p = ProjPoint(Q, (1, 1, 1))
     with pytest.raises(ValueError):
@@ -140,14 +135,14 @@ def _raised(make, items):
 
 
 @pytest.mark.parametrize("make, element, kind, empty", [
-    (PointSet, ProjPoint, "points", (EmptyPointSet, "point set is empty")),
+    (PointSet, ProjPoint, "points", (NegarrError, "point set is empty")),
     (CoordArrangement, ProjLine, "lines", (ValueError, "arrangement needs at least one line")),
 ])
 def test_point_and_line_set_messages(make, element, kind, empty):
     gf5 = PrimeField(5)
     assert _raised(make, []) == empty
     assert _raised(make, [element(Q, (1, 0, 0)), element(gf5, (0, 1, 0))]) == \
-        (FieldMismatch, f"{kind} over different fields")
+        (NegarrError, f"{kind} over different fields")
     assert _raised(make, [element(Q, (1, 0, 0)), element(Q, (0, 1, 0)),
                           element(Q, (-2, 0, 0))]) == \
         (ValueError, f"{kind} must be pairwise distinct")
@@ -181,9 +176,20 @@ def test_spectrum_field_order_is_a_prime_power():
         with pytest.raises(ValueError, match=f"^field order {order} is not a prime power$"):
             Spectrum(4, {2: 6}, field_order=order)
     assert Spectrum(4, {2: 6}, field_order=9).field_order == 9
-    inc = IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=10)
+
+
+def test_incidence_structure_field_order_is_a_prime_power():
     with pytest.raises(ValueError, match="^field order 10 is not a prime power$"):
-        spectrum_of(inc)
+        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=10)
+    inc = IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=9)
+    assert spectrum_of(inc).field_order == 9
+
+
+def test_incidence_structure_over_a_finite_field_cannot_be_real():
+    with pytest.raises(ValueError, match="^an incidence structure over the finite field "
+                                         "of order 7 cannot be real$"):
+        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, real=True,
+                           field_order=7)
 
 
 def test_abstract_spectrum_is_the_constructor():
@@ -211,9 +217,9 @@ def test_abstract_spectrum_identity_check():
 
 
 def test_spectrum_validation():
-    with pytest.raises(ProfileInconsistent):
+    with pytest.raises(NegarrError, match=r"^d\*profile\[3\] = 45 but k\*t_3 = 36$"):
         Spectrum(9, {3: 12}, profile={3: 5})
-    with pytest.raises(ProfileInconsistent):
+    with pytest.raises(NegarrError, match=r"^profile multiplicities \[4\] != spectrum \[3\]$"):
         Spectrum(9, {3: 12}, profile={4: 4})
     with pytest.raises(ValueError):
         Spectrum(9, {1: 3, 3: 12})
@@ -266,7 +272,7 @@ def test_remove_lines_keep_policy():
 
 def test_remove_lines_errors():
     inc = singular_points(_triangle())
-    with pytest.raises(RemovingAll):
+    with pytest.raises(NegarrError, match="^cannot remove every line$"):
         remove_lines(inc, [0, 1, 2], RESTRICT_TO_NEW_SINGULAR)
     with pytest.raises(ValueError):
         remove_lines(inc, [5], RESTRICT_TO_NEW_SINGULAR)
@@ -282,7 +288,7 @@ def test_equidistribution():
     assert equidistribution(singular_points(gen_quasi_pencil(6))) is None
     sp = Spectrum(45, {3: 120, 4: 45, 5: 36}, profile={3: 8, 4: 4, 5: 4})
     assert equidistribution(sp) == 16
-    with pytest.raises(NoIncidenceData):
+    with pytest.raises(NegarrError, match="^spectrum carries no per-line profile$"):
         equidistribution(Spectrum(45, {3: 120, 4: 45, 5: 36}))
 
 
@@ -397,13 +403,13 @@ def test_multiplicities_match_per_pair_incidence(field):
 
     stranger = ProjPoint(PrimeField(7) if field != PrimeField(7) else Q, (1, 0, 0))
     mismatch = "^point and arrangement over different fields$"
-    with pytest.raises(FieldMismatch, match=mismatch):
+    with pytest.raises(NegarrError, match=mismatch):
         multiplicity(arr, stranger)
-    with pytest.raises(FieldMismatch, match=mismatch):
+    with pytest.raises(NegarrError, match=mismatch):
         restrict_to_singular(points + [stranger], arr)
-    with pytest.raises(FieldMismatch, match=mismatch):
+    with pytest.raises(NegarrError, match=mismatch):
         h_at_points(arr, [stranger])
-    with pytest.raises(FieldMismatch, match="^" + re.escape(
+    with pytest.raises(NegarrError, match="^" + re.escape(
             f"point over {stranger.field}, line over {field}") + "$"):
         incident(stranger, arr.lines[0])
 

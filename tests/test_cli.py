@@ -480,7 +480,10 @@ def test_input_error_messages(tmp_path, capsys):
         (2, "", "error: 1000000000000000000000000000000 is not prime\n")
 
 
-_Q_FIVE = "field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 1 1\nline 1 -1 0\n"
+_Q_FOUR = "field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 1 1\n"
+_Q_FIVE = _Q_FOUR + "line 1 -1 0\n"
+_PAIR_OF_THREE = ("error: need at least four lines to remove two: "
+                  "one line left has no singular point\n")
 _ERROR_MESSAGES = {
     "no-coordinate-model": (None, ("generate", "cubicgroup:9,9", "--format", "coords"),
                             "error: cubicgroup has no coordinate model\n"),
@@ -509,6 +512,31 @@ _ERROR_MESSAGES = {
     "vector-beyond-degree": ("field EXT (GF 2) [1,1,1]\nline [1,1,1] 0 1\n", ("analyze", "{f}"),
                              "error: bad element literal '[1,1,1]' for EXT (GF 2) [1,1,1]: "
                              "vector '[1,1,1]' longer than degree 2\n"),
+    # removing two of three lines leaves one line and no singular point
+    "pair-of-three-pencil": ("field Q\nline 1 0 0\nline 0 1 0\nline 1 1 0\n",
+                             ("subconfig", "{f}", "--pairs-meeting", "3"), _PAIR_OF_THREE),
+    "pair-of-triangle": (_TRI, ("subconfig", "{f}", "--pairs-meeting", "2"), _PAIR_OF_THREE),
+    # one input error per rule the catalog, the fields and the locus check
+    "kgon-too-small": (None, ("generate", "kgon:2"), "error: a polygon needs at least 3 sides\n"),
+    "generic-too-small": (None, ("generate", "generic:1"),
+                          "error: generic position needs at least 2 lines\n"),
+    "cubicgroup-torsion": (None, ("generate", "cubicgroup:7,9"),
+                           "error: torsion count w = 9 is impossible for group order 7\n"),
+    "cubicgroup-non-integral": (None, ("generate", "cubicgroup:4,3"),
+                                "error: t_3 = 5/3 is not an integer for (k, w) = (4, 3)\n"),
+    "kgon-coords-beyond-four": (None, ("generate", "kgon:5", "--format", "coords"),
+                                "error: rational coordinates are only provided for k = 4\n"),
+    "pg2-not-prime-power": (None, ("generate", "pg2:6"), "error: 6 is not a prime power\n"),
+    "gf-not-prime": ("field GF 4\nline 1 0 0\nline 0 1 0\n", ("analyze", "{f}"),
+                     "error: 4 is not prime\n"),
+    "reducible-modulus": ("field EXT (GF 2) [1,0,1]\nline 1 0 0\nline 0 1 0\n",
+                          ("analyze", "{f}"), "error: [1,0,1] factors over GF(2)\n"),
+    "one-line": ("field Q\nline 1 0 0\n", ("analyze", "{f}"),
+                 "error: need at least two lines to intersect\n"),
+    "pairs-meeting-absent": (_Q_FOUR, ("subconfig", "{f}", "--pairs-meeting", "3"),
+                             "error: no point of multiplicity 3 in the spectrum\n"),
+    "formula-zero-lines": (_Q_FOUR, ("subconfig", "{f}", "--formula", "0"),
+                           "error: need 1 <= d' <= d, got d' = 0, d = 4\n"),
 }
 
 
@@ -524,6 +552,15 @@ def test_error_messages_through_main(text, argv, message, tmp_path, capsys):
         assert err == message
     else:  # the rest is the Python parser's own wording
         assert err.startswith(message)
+
+
+def test_missing_irreducible_polynomial_is_internal(monkeypatch, capsys):
+    # GF(q) always has a monic irreducible polynomial of each degree, so not
+    # finding one is a defect in negarr, reported as such
+    monkeypatch.setattr("negarr.catalog.is_irreducible_mod_p", lambda field, coeffs: False)
+    assert _run(capsys, "generate", "pg2:4") == \
+        (3, "", "internal inconsistency: no monic irreducible polynomial "
+                "of degree 2 over GF(2)\n")
 
 
 def test_malformed_count_row_messages(tmp_path, capsys):

@@ -23,12 +23,7 @@ from negarr.catalog import (
     gen_pencil,
     gen_quasi_pencil,
 )
-from negarr.errors import (
-    BadMultiplicity,
-    IncompleteLocus,
-    InvalidSubsize,
-    NoIncidenceData,
-)
+from negarr.errors import NegarrError
 from negarr.fields import EQUAL, LESS, RationalField
 from negarr.negativity import (
     certificates_for,
@@ -69,7 +64,7 @@ def test_h_full_known_values():
 
 
 def test_h_full_requires_complete():
-    with pytest.raises(IncompleteLocus):
+    with pytest.raises(NegarrError, match="^spectrum is not flagged complete$"):
         h_full(abstract_spectrum(9, {3: 11}, complete=False))
 
 
@@ -300,9 +295,9 @@ def test_subconfig_formula_values():
     h = Fraction(-225, 67)
     assert subconfig_formula(h, 45, 44, 16, 201) == Fraction(-220, 67)
     assert subconfig_formula(h, 45, 43, 16, 201) == Fraction(-215, 67)
-    with pytest.raises(InvalidSubsize):
+    with pytest.raises(NegarrError, match="^need 1 <= d' <= d, got d' = 0, d = 45$"):
         subconfig_formula(h, 45, 0, 16, 201)
-    with pytest.raises(InvalidSubsize):
+    with pytest.raises(NegarrError, match="^need 1 <= d' <= d, got d' = 46, d = 45$"):
         subconfig_formula(h, 45, 46, 16, 201)
 
 
@@ -317,13 +312,24 @@ def test_pair_removal_from_profile_wiman():
         assert r.over_original.h == Fraction(-215, 67)
         assert r.over_new.h == Fraction(-215, 67)
         assert r.new_spectrum.s == 201
-    with pytest.raises(BadMultiplicity):
+    with pytest.raises(NegarrError, match="^no point of multiplicity 2 in the spectrum$"):
         pair_removal_from_profile(WIMAN, 2)
 
 
 def test_pair_removal_requires_profile():
-    with pytest.raises(NoIncidenceData):
+    with pytest.raises(NegarrError, match="^spectrum carries no per-line profile$"):
         pair_removal_from_profile(abstract_spectrum(9, {3: 12}), 3)
+
+
+def test_pair_removal_needs_four_lines():
+    # removing two of three lines leaves one line and no singular point
+    too_few = "^need at least four lines to remove two: one line left has no singular point$"
+    for spec, m in ((abstract_spectrum(3, {3: 1}, profile={3: 1}), 3),
+                    (abstract_spectrum(3, {2: 3}, profile={2: 2}), 2)):
+        with pytest.raises(NegarrError, match=too_few):
+            pair_removal_from_profile(spec, m)
+    pencil = abstract_spectrum(4, {4: 1}, profile={4: 1})
+    assert pair_removal_from_profile(pencil, 4).new_spectrum.t == {2: 1}
 
 
 def test_pair_removal_matches_direct_removal():
@@ -350,9 +356,9 @@ def test_wiman_pair_removal_wrapper():
     assert r3.over_new.h == Fraction(-161, 50)
     assert wiman_pair_removal(4).over_new.h == Fraction(-215, 67)
     assert wiman_pair_removal(5).over_new.h == Fraction(-215, 67)
-    with pytest.raises(BadMultiplicity):
+    with pytest.raises(NegarrError, match="^Wiman points have multiplicity 3, 4, or 5, not 2$"):
         wiman_pair_removal(2)
-    with pytest.raises(BadMultiplicity):
+    with pytest.raises(NegarrError, match="^Wiman points have multiplicity 3, 4, or 5, not 6$"):
         wiman_pair_removal(6)
 
 

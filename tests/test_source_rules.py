@@ -2,6 +2,9 @@
 
 - No assert statement: python -O strips them, so every check in the package
   must raise instead; this keeps the tier-1 run under -O meaningful.
+- No raise of AssertionError: the command line maps only input errors and
+  InternalInconsistency to exit codes, so it would escape as a traceback;
+  a broken invariant raises InternalInconsistency.
 - No environment read: reports are byte-deterministic for identical inputs
   and flags, so no setting may come from the caller's environment.
 - The standard library only: every absolute import names a standard-library
@@ -54,6 +57,18 @@ def test_the_rules_read_the_package():
 def test_no_assert_statements():
     assert [f"{path}:{node.lineno}" for path, node in _nodes()
             if isinstance(node, ast.Assert)] == []
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_error_raised():
+    assert [f"{path}:{node.lineno}" for path, node in _nodes()
+            if _raises_assertion_error(node)] == []
 
 
 def test_no_environment_reads():
