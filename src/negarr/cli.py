@@ -54,7 +54,6 @@ import argparse
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import comb
 
 from .arrangement import (
     KEEP_ORIGINAL_POINTS,
@@ -81,12 +80,12 @@ from .negativity import (
     h_full,
     h_of_multiplicities,
     h_quadratic,
-    main_bound_case,
     mean_multiplicity_bound,
     pair_removal_from_profile,
     subconfig_formula,
 )
 from .projective import ProjLine, ProjPoint
+from .search import search_removals
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -617,123 +616,27 @@ def cmd_subconfig(args) -> int:
     return _subconfig_formula_cmd(args, inp)
 
 
-def _removals(inc, max_remove: int):
-    """Walk the removals of 1..max_remove lines from a full singular locus
-    whose lines are labelled 0..d-1, as singular_points labels them.
-
-    Subsets come size by size and, within a size, in lexicographic order:
-    the order of itertools.combinations.  For each one this yields
-    (removed, s, sum_m, pairs, hist) for the lines that remain: s points lie
-    on two or more of them, with multiplicities summing to sum_m; pairs is
-    the sum of C(m, 2) over all points; hist[m] counts the points on exactly
-    m of them (one list, updated in place between yields).  Dropping or
-    restoring a line touches only the points on it.
-    """
-    d, mult, on_line = inc.d, inc.multiplicities(), inc.on_line
-    hist = [0] * (d + 1)
-    for m in mult:
-        hist[m] += 1
-    s, sum_m, pairs = len(mult), sum(mult), sum(m * (m - 1) // 2 for m in mult)
-    for size in range(1, max_remove + 1):
-        chosen, line = [], 0  # line: the next candidate at the current depth
-        while True:
-            if len(chosen) < size and line <= d - size + len(chosen):
-                for pid in on_line[line]:
-                    m = mult[pid]
-                    mult[pid] = m - 1
-                    hist[m] -= 1
-                    hist[m - 1] += 1
-                    pairs -= m - 1
-                    if m > 2:
-                        sum_m -= 1
-                    elif m == 2:
-                        s -= 1
-                        sum_m -= 2
-                chosen.append(line)
-                line += 1
-                if len(chosen) == size:
-                    yield tuple(chosen), s, sum_m, pairs, hist
-                continue
-            if not chosen:
-                break
-            line = chosen.pop()
-            for pid in on_line[line]:
-                m = mult[pid] + 1
-                mult[pid] = m
-                hist[m - 1] -= 1
-                hist[m] += 1
-                pairs += m - 1
-                if m > 2:
-                    sum_m += 1
-                elif m == 2:
-                    s += 1
-                    sum_m += 2
-            line += 1
-
-
 def cmd_search(args) -> int:
     inp = read_input(args.path)
     arr = _coordinates(inp, "search needs coordinates")
-    d = arr.d
-    max_remove = min(args.max_remove, d - 1)
-    if max_remove < 1:
-        raise NegarrError("nothing to remove")
-    budget = args.budget
-    total = sum(comb(d, j) for j in range(1, max_remove + 1))
-    if total > budget:
-        raise NegarrError(f"{total} candidate subsets exceed the budget of {budget}")
-    inc = singular_points(arr)
-
-    # H = num / s' over the new singular locus, compared by cross-multiplying.
-    # A candidate is counted as prunable when its main lower bound already
-    # exceeds the running best; nothing is skipped.
-    best = None  # (num, s', removed)
-    evaluated = no_singular = prunable = 0
-    for removed, s, sum_m, pairs, hist in _removals(inc, max_remove):
-        if s == 0:
-            no_singular += 1
-            continue
-        d_new = d - len(removed)
-        if pairs != comb(d_new, 2):
-            raise InternalInconsistency(
-                f"removing lines {list(removed)} breaks the pair-count identity")
-        evaluated += 1
-        num = d_new - sum_m
-        if best is not None:
-            num_best, s_best, removed_best = best
-            if inc.field_order is None:
-                _, b_num, b_den = main_bound_case(d_new, s, hist.__getitem__)
-                if b_num * s_best > num_best * b_den:
-                    prunable += 1
-            lhs, rhs = num * s_best, num_best * s
-            if lhs > rhs or (lhs == rhs and removed >= removed_best):
-                continue
-        best = (num, s, removed)
-
+    result = search_removals(arr, args.max_remove, args.budget)
+    best = result["best"]
     lines = [_input_line(args.path, inp),
-             f"search: removal subsets of size 1..{max_remove} of {d} lines; "
+             f"search: removal subsets of size 1..{result['max_remove']} of {arr.d} lines; "
              "objective min-h",
-             f"candidates: {total} within budget {budget}; evaluated {evaluated}, "
-             f"without singular points {no_singular}, "
-             f"prunable by lower bound {prunable}"]
-    payload = {"objective": "min-h", "max_remove": max_remove, "budget": budget,
-               "candidates": total, "evaluated": evaluated, "no_singular": no_singular,
-               "prunable": prunable, "best": None}
+             f"candidates: {result['candidates']} within budget {args.budget}; "
+             f"evaluated {result['evaluated']}, "
+             f"without singular points {result['no_singular']}, "
+             f"prunable by lower bound {result['prunable']}"]
+    payload = {"objective": "min-h", "budget": args.budget, **result}
     certs = []
     if best is None:
         lines.append("no subarrangement retains a singular point")
     else:
-        num_best, s_best, combo = best
-        sp_best = spectrum_of(remove_lines(inc, combo, RESTRICT_TO_NEW_SINGULAR))
-        h_best = h_full(sp_best).h
-        if h_best != Fraction(num_best, s_best):
-            raise InternalInconsistency(
-                f"incremental H of removal {list(combo)} disagrees with its rebuilt locus")
-        lines += [f"best removal: {list(combo)}  (d' = {d - len(combo)})",
-                  f"H over new singular locus = {fmt_q(h_best)}",
+        sp_best = best["spectrum"]
+        lines += [f"best removal: {best['removed']}  (d' = {best['d_new']})",
+                  f"H over new singular locus = {fmt_q(best['h'])}",
                   _spectrum_line("new spectrum", sp_best) + f"  (s = {sp_best.s})"]
-        payload["best"] = {"removed": list(combo), "d_new": d - len(combo),
-                           "h": h_best, "spectrum": sp_best}
         certs = certificates_for(sp_best)
     status = _certificates(lines, payload, certs, "certificates (best subarrangement):")
     return _emit(args, lines, payload, status)

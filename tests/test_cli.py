@@ -250,8 +250,9 @@ def test_internal_inconsistency_exit_code_under_optimize(tmp_path, capsys):
 _INJECT_SEARCH_DISAGREEMENT = """
 import dataclasses, sys
 import negarr.cli as cli
-real = cli.h_full
-cli.h_full = lambda sp: dataclasses.replace(real(sp), h=real(sp).h + 1)
+import negarr.search as search
+real = search.h_full
+search.h_full = lambda sp: dataclasses.replace(real(sp), h=real(sp).h + 1)
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -266,6 +267,39 @@ def test_search_inconsistency_exit_code_under_optimize(tmp_path, capsys):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal inconsistency:")
+
+
+# Hands `search` a locus with one member dropped from its first point, so that
+# the removal walk's pair count disagrees with C(d', 2).
+_INJECT_PAIR_COUNT = """
+import sys
+import negarr.cli as cli
+import negarr.search as search
+from negarr.arrangement import IncidenceStructure
+real = search.singular_points
+
+def broken(arr):
+    inc = real(arr)
+    (key, members), *rest = inc.points
+    points = [(key, members - {max(members)}), *rest]
+    return IncidenceStructure(inc.line_labels, points, complete=False,
+                              real=inc.real, field_order=inc.field_order)
+
+search.singular_points = broken
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_search_pair_count_check_exit_code_under_optimize(tmp_path, capsys):
+    f = tmp_path / "sq.txt"
+    _run(capsys, "generate", "kgon:4", "--format", "coords", "--out", str(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INJECT_PAIR_COUNT,
+                           "search", str(f), "--max-remove", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal inconsistency: removing lines")
 
 
 def test_subconfig_remove(tmp_path, capsys):
@@ -390,7 +424,7 @@ def test_search_rejects_before_building_the_locus(tmp_path, capsys, monkeypatch)
     def no_locus(arr):
         raise AssertionError("singular locus built before the budget check")
 
-    monkeypatch.setattr("negarr.cli.singular_points", no_locus)
+    monkeypatch.setattr("negarr.search.singular_points", no_locus)
     f = tmp_path / "p2.txt"
     _run(capsys, "generate", "pg2:2", "--out", str(f))
     code, out, err = _run(capsys, "search", str(f), "--max-remove", "4", "--budget", "10")
