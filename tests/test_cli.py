@@ -302,6 +302,41 @@ def test_search_pair_count_check_exit_code_under_optimize(tmp_path, capsys):
     assert proc.stderr.startswith("internal inconsistency: removing lines")
 
 
+_INJECT_SHARED_POINTS = """
+import sys
+import negarr.cli as cli
+import negarr.search as search
+from negarr.arrangement import IncidenceStructure
+real = search.singular_points
+
+def broken(arr):
+    inc = real(arr)
+    (key, members), *rest = inc.points
+    extra = min(set(inc.line_labels) - members)
+    points = [(key, members | {extra}), *rest]
+    return IncidenceStructure(inc.line_labels, points, complete=False,
+                              real=inc.real, field_order=inc.field_order)
+
+search.singular_points = broken
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_search_meet_table_check_exit_code_under_optimize(tmp_path, capsys):
+    # the first point gains a line that already meets each of its members
+    # elsewhere, so those pairs of lines share two points
+    f = tmp_path / "sq.txt"
+    _run(capsys, "generate", "kgon:4", "--format", "coords", "--out", str(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INJECT_SHARED_POINTS,
+                           "search", str(f), "--max-remove", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal inconsistency: lines ")
+    assert "share two points" in proc.stderr
+
+
 def test_subconfig_remove(tmp_path, capsys):
     f = tmp_path / "f3.txt"
     _run(capsys, "generate", "fermat:3", "--out", str(f))

@@ -92,10 +92,28 @@ def test_search_matches_reference_on_catalog(item, max_remove, tmp_path):
         _assert_agrees(path, r)
 
 
-def _random_rational_lines(rng, count):
+# The last line of each subset is read through the points where it meets the
+# chosen lines; in these cases it often passes through a point that two or
+# more chosen lines already hit, so some of those points coincide.
+CONCURRENT = [
+    ("pg2:3", 4),
+    ("pg2:3", 5),
+    ("pencil:6", 5),
+]
+
+
+@pytest.mark.parametrize("item,max_remove", CONCURRENT)
+def test_search_matches_reference_where_chosen_lines_concur(item, max_remove, tmp_path):
+    path = tmp_path / "arr.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", item, "--format", "coords", "--out", str(path)]) == 0
+    _assert_agrees(path, max_remove)
+
+
+def _random_rational_lines(rng, count, bound=3):
     lines = set()
     while len(lines) < count:
-        c = [rng.randint(-3, 3) for _ in range(3)]
+        c = [rng.randint(-bound, bound) for _ in range(3)]
         g = gcd(gcd(c[0], c[1]), c[2])
         if g == 0:
             continue
@@ -111,5 +129,15 @@ def test_search_matches_reference_on_random_rational(seed, tmp_path):
     rng = random.Random(seed)
     path = tmp_path / "arr.txt"
     path.write_text(_random_rational_lines(rng, rng.randint(5, 11)))
+    for r in range(1, 5):
+        _assert_agrees(path, r)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_matches_reference_on_concurrent_rational(seed, tmp_path):
+    # coefficients in [-1, 1]: 13 lines at most, with many concurrent triples
+    rng = random.Random(seed)
+    path = tmp_path / "arr.txt"
+    path.write_text(_random_rational_lines(rng, rng.randint(7, 13), bound=1))
     for r in range(1, 5):
         _assert_agrees(path, r)
