@@ -1,7 +1,8 @@
 """Command line interface: generate catalog items, analyze inputs, study
 subconfigurations, and search removals.
 
-File formats (lines starting with # and blank lines are ignored):
+File formats (on every row, a # and everything after it are dropped, a note
+row's text included; rows left blank are ignored):
 
 Coordinates:
     field Q                     or: field GF 7
@@ -10,7 +11,7 @@ Coordinates:
     line 1 0 -1                 one row per line, three exact literals
     flags real                  optional; rational coordinates are always real,
                                 and finite-field ones never
-    note free text              optional, repeatable
+    note free text              optional, repeatable; ends at the first #
 
 Spectrum:
     spectrum d=45
@@ -19,7 +20,7 @@ Spectrum:
     flags real complete         when omitted: not real, complete
     order 9                     coordinate field size (a prime power), when finite;
                                 with it the real flag is an input error
-    note free text              optional, repeatable
+    note free text              optional, repeatable; ends at the first #
 
 Points (for analyze --points FILE, with a coordinates input; without --points,
 analyze evaluates the full singular locus):

@@ -14,7 +14,8 @@ import io
 import itertools
 import random
 import warnings
-from math import gcd
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -24,6 +25,7 @@ from negarr.arrangement import (
     singular_points,
     spectrum_of,
 )
+from negarr.catalog import gen_finite_field_full
 from negarr.cli import main, read_input
 from negarr.errors import EmptyResult
 from negarr.negativity import h_full, main_lower_bound
@@ -141,3 +143,41 @@ def test_search_matches_reference_on_concurrent_rational(seed, tmp_path):
     path.write_text(_random_rational_lines(rng, rng.randint(7, 13), bound=1))
     for r in range(1, 5):
         _assert_agrees(path, r)
+
+
+# GF(17^2) is above ZECH_MAX_ORDER, so its lines meet on the generic
+# ExtensionField path; the four lines with c = 0 concur at (0:0:1).
+_GF289_LINES = """field EXT (GF 17) [3,0,1]
+line [1,0] [0,0] [0,0]
+line [0,0] [1,0] [0,0]
+line [1,0] [1,0] [0,0]
+line [1,0] [0,1] [0,0]
+line [1,0] [0,0] [1,0]
+line [0,0] [1,0] [1,0]
+line [0,0] [0,0] [1,0]
+line [1,0] [1,0] [1,0]
+line [2,1] [0,3] [1,0]
+line [1,0] [5,2] [0,7]
+"""
+
+
+def test_search_matches_reference_on_generic_extension_field(tmp_path):
+    path = tmp_path / "arr.txt"
+    path.write_text(_GF289_LINES)
+    assert type(read_input(path).arrangement.field).__name__ == "ExtensionField"
+    for r in range(1, 5):
+        _assert_agrees(path, r)
+
+
+def test_search_deep_walk_on_pg2_7():
+    # 425,923 subsets, beyond the reference loop; the best removal is one
+    # line, whose H is -q^2 (q + 1) / (q^2 + q + 1) at q = 7
+    result = search_removals(gen_finite_field_full(7), 4, 10**7)
+    assert result["candidates"] == result["evaluated"] == 425923
+    assert sum(comb(57, j) for j in range(1, 5)) == 425923
+    assert result["no_singular"] == result["prunable"] == 0
+    best = result["best"]
+    assert best["removed"] == [0]
+    assert best["d_new"] == 56
+    assert best["spectrum"].t == {7: 8, 8: 49}
+    assert best["h"] == Fraction(-392, 57) == Fraction(-7**2 * 8, 7**2 + 7 + 1)
