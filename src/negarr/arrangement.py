@@ -103,10 +103,11 @@ class IncidenceStructure:
 
     points holds (key, members) pairs; on_line maps each line label to the
     ids (indices into points) of the points on that line.  complete means the
-    points are exactly the full singular locus of the lines, in which case the
-    pair-count identity sum C(m_i,2) = C(d,2) is enforced.  Points of
-    multiplicity below 2 are allowed (and only appear) when a removal kept the
-    original point set.  field_order follows the rules of Spectrum's.
+    points are exactly the full singular locus of the lines, so each lies on
+    two or more of them and the pair-count identity sum C(m_i,2) = C(d,2)
+    holds; both are enforced.  Points of multiplicity below 2 are allowed
+    (and only appear) when a removal kept the original point set.
+    field_order follows the rules of Spectrum's.
     """
 
     __slots__ = ("line_labels", "points", "on_line", "complete", "real", "field_order")
@@ -129,6 +130,9 @@ class IncidenceStructure:
                     raise ValueError(f"point {key!r} references unknown lines")
                 ids.append(pid)
         if complete:
+            if any(len(members) < 2 for _, members in pts):
+                raise ValueError("a complete incidence structure holds only "
+                                 "points on two or more of its lines")
             lhs = sum(comb(len(members), 2) for _, members in pts)
             rhs = comb(len(labels), 2)
             if lhs != rhs:
@@ -158,21 +162,25 @@ class IncidenceStructure:
 class Spectrum:
     """Multiplicity spectrum: t[k] points where exactly k lines meet.
 
-    complete means the counts describe the full singular locus, in which case
-    sum C(k,2) t_k = C(d,2) is enforced.  profile, when present, gives for
-    every line the number of k-fold points on it and must satisfy
-    d * profile[k] = k * t_k.  field_order is the size of the coordinate
-    field when the spectrum came from one of positive characteristic, so it
-    must be a prime power; such a field embeds in no real field, so
-    real=True with it raises ValueError.
+    The counts describe the full singular locus of the d lines, so the
+    pair-count identity sum C(k,2) t_k = C(d,2) is enforced; complete is
+    always True, and the keyword accepts nothing else.  profile, when
+    present, gives for every line the number of k-fold points on it and must
+    satisfy d * profile[k] = k * t_k.  field_order is the size of the
+    coordinate field when the spectrum came from one of positive
+    characteristic, so it must be a prime power; such a field embeds in no
+    real field, so real=True with it raises ValueError.
     """
 
-    __slots__ = ("d", "t", "real", "complete", "profile", "field_order")
+    __slots__ = ("d", "t", "real", "profile", "field_order")
+    complete = True
 
     def __init__(self, d, t, *, real=False, complete=True, profile=None,
                  field_order=None):
         if d < 1:
             raise ValueError("d must be positive")
+        if complete is not True:
+            raise ValueError("a spectrum describes a full singular locus: complete must be True")
         _check_field_order("a spectrum", real, field_order)
         clean = {}
         for k in sorted(t):
@@ -185,11 +193,10 @@ class Spectrum:
                 clean[k] = v
         if not clean:
             raise ValueError("spectrum has no points")
-        if complete:
-            lhs = sum(comb(k, 2) * v for k, v in clean.items())
-            rhs = comb(d, 2)
-            if lhs != rhs:
-                raise IdentityViolation(lhs, rhs)
+        lhs = sum(comb(k, 2) * v for k, v in clean.items())
+        rhs = comb(d, 2)
+        if lhs != rhs:
+            raise IdentityViolation(lhs, rhs)
         if profile is not None:
             prof = {k: profile[k] for k in sorted(profile) if profile[k]}
             if set(prof) != set(clean):
@@ -202,7 +209,6 @@ class Spectrum:
         self.d = d
         self.t = clean
         self.real = bool(real)
-        self.complete = bool(complete)
         self.profile = profile
         self.field_order = field_order
 
@@ -224,15 +230,14 @@ class Spectrum:
     def __eq__(self, other):
         return (isinstance(other, Spectrum)
                 and other.d == self.d and other.t == self.t
-                and other.real == self.real and other.complete == self.complete
-                and other.profile == self.profile
+                and other.real == self.real and other.profile == self.profile
                 and other.field_order == self.field_order)
 
     def __hash__(self):
         return hash((self.d, tuple(sorted(self.t.items()))))
 
     def __repr__(self):
-        return f"Spectrum(d={self.d}, t={self.t}, real={self.real}, complete={self.complete})"
+        return f"Spectrum(d={self.d}, t={self.t}, real={self.real})"
 
 
 # A validated spectrum from raw counts, with no coordinates behind it.
@@ -297,8 +302,6 @@ def multiplicity(arr: CoordArrangement, point: ProjPoint) -> int:
 
 
 def _derive_profile(inc: IncidenceStructure):
-    if not inc.complete:
-        return None
     mult = inc.multiplicities()
     profiles = [Counter(mult[pid] for pid in ids) for ids in inc.on_line.values()]
     first = profiles[0]
@@ -308,18 +311,20 @@ def _derive_profile(inc: IncidenceStructure):
 
 
 def spectrum_of(inc: IncidenceStructure) -> Spectrum:
-    """Collapse an incidence structure to its multiplicity spectrum.
+    """Collapse a complete incidence structure to its multiplicity spectrum.
 
     Flags are copied; a per-line profile is attached when every line carries
-    the same multiset of point multiplicities.  Points of multiplicity below
-    2 (possible only on incomplete structures) are not counted.
+    the same multiset of point multiplicities.  A structure that is not the
+    full singular locus (a keep_original_points removal) raises ValueError:
+    h_quadratic reads it.
     """
-    t = Counter(m for m in inc.multiplicities() if m >= 2)
+    if not inc.complete:
+        raise ValueError("spectrum_of needs a full singular locus; "
+                         "h_quadratic reads a kept point set")
     return Spectrum(
         inc.d,
-        dict(t),
+        dict(Counter(inc.multiplicities())),
         real=inc.real,
-        complete=inc.complete,
         profile=_derive_profile(inc),
         field_order=inc.field_order,
     )

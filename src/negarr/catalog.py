@@ -127,7 +127,7 @@ def gen_kgon_mirror(k: int) -> Spectrum:
     if k < 3:
         raise NegarrError("a polygon needs at least 3 sides")
     t = _merge_counts((2, k), (3, comb(k, 2)), (k, 1))
-    return Spectrum(2 * k, t, real=True, complete=True)
+    return Spectrum(2 * k, t, real=True)
 
 
 def gen_kgon_mirror_coords(k: int) -> CoordArrangement:
@@ -153,7 +153,7 @@ def gen_boroczky(k: int) -> Spectrum:
     if k < 6 or k % 6:
         raise NegarrError("k must be a positive multiple of 6")
     t = {2: k - 3, 3: 1 + k * (k - 3) // 6}
-    return Spectrum(k, t, real=True, complete=True)
+    return Spectrum(k, t, real=True)
 
 
 def gen_group_on_cubic(k: int, w: int) -> Spectrum:
@@ -170,19 +170,17 @@ def gen_group_on_cubic(k: int, w: int) -> Spectrum:
     if t3.denominator != 1:
         raise NegarrError(f"t_3 = {t3} is not an integer for (k, w) = ({k}, {w})")
     t = _merge_counts((2, k - w), (3, int(t3)))
-    return Spectrum(k, t, real=False, complete=True)
+    return Spectrum(k, t, real=False)
 
 
 def gen_klein() -> Spectrum:
     """The 21-line Klein configuration: 28 triple and 21 quadruple points."""
-    return Spectrum(21, {3: 28, 4: 21}, real=False, complete=True,
-                    profile={3: 4, 4: 4})
+    return Spectrum(21, {3: 28, 4: 21}, real=False, profile={3: 4, 4: 4})
 
 
 def gen_wiman() -> Spectrum:
     """The 45-line Wiman configuration: 120 triple, 45 quadruple, 36 quintuple points."""
-    return Spectrum(45, {3: 120, 4: 45, 5: 36}, real=False, complete=True,
-                    profile={3: 8, 4: 4, 5: 4})
+    return Spectrum(45, {3: 120, 4: 45, 5: 36}, real=False, profile={3: 8, 4: 4, 5: 4})
 
 
 # ---- registry ----

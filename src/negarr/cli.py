@@ -17,7 +17,8 @@ Spectrum:
     spectrum d=45
     t 3 120                     one row per multiplicity
     profile 3 8                 optional per-line profile rows
-    flags real complete         when omitted: not real, complete
+    flags real complete         must list complete (a spectrum is a full
+                                singular locus); when omitted: not real
     order 9                     coordinate field size (a prime power), when finite;
                                 with it the real flag is an input error
     note free text              optional, repeatable; ends at the first #
@@ -171,8 +172,10 @@ def parse_input(text: str) -> InputFile:
             raise NegarrError("a spectrum file takes no field row")
         if not t:
             raise NegarrError("spectrum block has no t rows")
-        sp = Spectrum(spec_d, t, real=real, complete=complete,
-                      profile=profile or None, field_order=order)
+        if not complete:
+            raise NegarrError("a spectrum file's flags row must list complete: "
+                              "a spectrum describes a full singular locus")
+        sp = Spectrum(spec_d, t, real=real, profile=profile or None, field_order=order)
         return InputFile("spectrum", spectrum=sp, notes=notes)
     if not rows:
         raise NegarrError("input holds no lines, points, or spectrum")
@@ -243,12 +246,7 @@ def render_spectrum(sp: Spectrum, notes=()) -> str:
     rows = [f"spectrum d={sp.d}"]
     for key, counts in (("t", sp.t), ("profile", sp.profile or {})):
         rows.extend(f"{key} {k} {v}" for k, v in sorted(counts.items()))
-    flags = ["flags"]
-    if sp.real:
-        flags.append("real")
-    if sp.complete:
-        flags.append("complete")
-    rows.append(" ".join(flags))
+    rows.append("flags real complete" if sp.real else "flags complete")
     if sp.field_order is not None:
         rows.append(f"order {sp.field_order}")
     for note in notes:

@@ -6,8 +6,9 @@ through the i-th point), the quadratic form is
     h = (d^2 - sum m_i^2) / s.
 
 On the full singular locus the pair-count identity sum m_i(m_i-1) = d(d-1)
-collapses it to the linear form (d - sum m_i)/s = d/s - mbar.  Everything here
-is exact Fraction arithmetic.
+collapses it to the linear form (d - sum m_i)/s = d/s - mbar.  Every Spectrum
+is such a locus (its constructor checks the identity).  Everything here is
+exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def h_of_multiplicities(d, mults) -> HReport:
     return _report(d, len(mults), sum(mults), sum(m * m for m in mults), FORMULA_GENERAL)
 
 
-def _require_complete(spec: Spectrum) -> None:
-    if not spec.complete:
-        raise NegarrError("spectrum is not flagged complete")
-
-
 def h_at_points(arr: CoordArrangement, points) -> HReport:
     """Quadratic-form H of the arrangement over an arbitrary point set.
 
@@ -131,7 +127,6 @@ def h_quadratic(inc: IncidenceStructure) -> HReport:
 
 def h_full(x) -> HReport:
     """Linear-form H over the full singular locus, cross-checked quadratically."""
-    _require_complete(x)
     rep = _report(x.d, x.s, x.sum_m, x.sum_m_sq, FORMULA_FULL)
     if rep.h != Fraction(x.d * x.d - rep.sum_m_sq, rep.s):
         raise InternalInconsistency("linear and quadratic forms disagree")
@@ -173,13 +168,12 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
     """t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k.
 
     Valid for arrangements over the complex numbers with no point on d or
-    d-1 of the lines, which forces d >= 4: every complete spectrum with
-    d <= 3 is a pencil ({2:1}, {3:1}) or the triangle ({2:3}, a
-    quasi-pencil).  Inapplicable otherwise, in particular over positive
-    characteristic.  A violation by an abstract spectrum certifies that no
-    complex line arrangement realizes it.
+    d-1 of the lines, which forces d >= 4: every spectrum with d <= 3 is a
+    pencil ({2:1}, {3:1}) or the triangle ({2:3}, a quasi-pencil).
+    Inapplicable otherwise, in particular over positive characteristic.  A
+    violation by an abstract spectrum certifies that no complex line
+    arrangement realizes it.
     """
-    _require_complete(spec)
     d, t = spec.d, spec.t
     lhs = t.get(2, 0) + Fraction(3, 4) * t.get(3, 0)
     rhs = d + sum((k - 4) * v for k, v in t.items() if k >= 5)
@@ -201,7 +195,6 @@ def melchior_check(spec: Spectrum) -> CertificateReport:
     when the certificate is inapplicable; a negative excess on a non-pencil
     spectrum certifies that no real line arrangement realizes it.
     """
-    _require_complete(spec)
     e = Fraction(_melchior_excess(spec.t))
     reason = _not_real_nonpencil(spec)
     note = None
@@ -272,7 +265,6 @@ def real_identity_and_bound(spec: Spectrum) -> CertificateReport:
     exactly d/s > 0.  It needs e >= 0, the Melchior inequality; a spectrum
     that violates it gets an inapplicable report.
     """
-    _require_complete(spec)
     e = _melchior_excess(spec.t)
     reason = _not_real_nonpencil(spec)
     if reason is None and e < 0:
@@ -309,8 +301,8 @@ def finite_field_bound(spec: Spectrum, q: int) -> CertificateReport:
 
 
 def certificates_for(spec: Spectrum) -> list:
-    """The certificate battery for one complete spectrum: Hirzebruch, Melchior,
-    the main and the real lower bound, and the index bound over a finite field."""
+    """The certificate battery for one spectrum: Hirzebruch, Melchior, the
+    main and the real lower bound, and the index bound over a finite field."""
     certs = [hirzebruch_check(spec), melchior_check(spec), main_lower_bound(spec),
              real_identity_and_bound(spec)]
     if spec.field_order is not None:
@@ -325,7 +317,6 @@ def mean_multiplicity_bound(x) -> MeanComparison:
     coincide; equivalently h_full = d/s - mbar >= d/s - m.  chain_holds
     records the rearranged inequality.
     """
-    _require_complete(x)
     mbar = Fraction(x.sum_m, x.s)
     c = Fraction(x.sum_m_sq - x.sum_m, x.s)
     ordering = compare_with_surd_mean(mbar, c)
@@ -356,7 +347,6 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     m = meeting_multiplicity
     if spec.profile is None:
         raise NegarrError("spectrum carries no per-line profile")
-    _require_complete(spec)
     if m not in spec.t:
         raise NegarrError(f"no point of multiplicity {m} in the spectrum")
     if spec.d < 4:
@@ -374,8 +364,7 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     new_counts[m - 2] += 1
     d_new = spec.d - 2
     new_t = {k: v for k, v in new_counts.items() if k >= 2 and v > 0}
-    new_spectrum = Spectrum(d_new, new_t, real=spec.real, complete=True,
-                            field_order=spec.field_order)
+    new_spectrum = Spectrum(d_new, new_t, real=spec.real, field_order=spec.field_order)
     return PairRemovalReport(meeting_multiplicity=m,
                              over_original=h_of_multiplicities(d_new, list(new_counts.elements())),
                              over_new=h_full(new_spectrum),

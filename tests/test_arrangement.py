@@ -211,9 +211,12 @@ def test_abstract_spectrum_identity_check():
     assert sp.s == 12
     with pytest.raises(IdentityViolation):
         abstract_spectrum(9, {3: 11})
-    # incomplete spectra skip the identity
-    partial = abstract_spectrum(9, {3: 11}, complete=False)
-    assert not partial.complete
+    # every spectrum is a full singular locus: none skips the identity
+    assert sp.complete
+    with pytest.raises(ValueError, match="^a spectrum describes a full singular locus"):
+        abstract_spectrum(9, {3: 11}, complete=False)
+    with pytest.raises(ValueError, match="^a spectrum describes a full singular locus"):
+        abstract_spectrum(9, {3: 12}, complete=False)
 
 
 def test_spectrum_validation():
@@ -239,6 +242,10 @@ def test_incidence_structure_validation():
         IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=True)
     ok = IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=False)
     assert ok.multiplicities() == [2]
+    # a complete structure is a singular locus: no point on fewer than two lines
+    with pytest.raises(ValueError, match="^a complete incidence structure holds only points"):
+        IncidenceStructure((0, 1), [("p", frozenset({0, 1})), ("q", frozenset({0}))],
+                           complete=True)
 
 
 def test_remove_lines_matches_recomputation():
@@ -268,6 +275,9 @@ def test_remove_lines_keep_policy():
     assert not kept.complete
     mults = sorted(kept.multiplicities())
     assert mults == [2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
+    # a kept point set is not a singular locus, so it has no spectrum
+    with pytest.raises(ValueError, match="^spectrum_of needs a full singular locus"):
+        spectrum_of(kept)
 
 
 def test_remove_lines_errors():
@@ -330,7 +340,11 @@ def test_line_index_matches_member_sets(inc, per_line, profile):
     assert inc.on_line == expected
     assert list(inc.on_line) == list(inc.line_labels)
     assert equidistribution(inc) == per_line
-    assert spectrum_of(inc).profile == profile
+    if inc.complete:
+        assert spectrum_of(inc).profile == profile
+    else:
+        with pytest.raises(ValueError, match="^spectrum_of needs a full singular locus"):
+            spectrum_of(inc)
 
 
 def test_locus_builds_no_field_element(monkeypatch):

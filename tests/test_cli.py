@@ -69,9 +69,11 @@ def test_parse_input_spectrum_defaults():
     sp = inp.spectrum
     assert sp.complete and not sp.real
     assert sp.t == {3: 12}
-    flagged = parse_input("spectrum d=9\nt 3 12\nflags real\n")
-    assert flagged.spectrum.real
-    assert not flagged.spectrum.complete  # a flags row is authoritative
+    flagged = parse_input("spectrum d=9\nt 3 12\nflags real complete\n")
+    assert flagged.spectrum.real and flagged.spectrum.complete
+    # a flags row is authoritative, and a spectrum is always complete
+    with pytest.raises(NegarrError, match="^a spectrum file's flags row must list complete"):
+        parse_input("spectrum d=9\nt 3 12\nflags real\n")
 
 
 def test_parse_input_comments_and_notes():
@@ -606,6 +608,19 @@ _ERROR_MESSAGES = {
                              "error: no point of multiplicity 3 in the spectrum\n"),
     "formula-zero-lines": (_Q_FOUR, ("subconfig", "{f}", "--formula", "0"),
                            "error: need 1 <= d' <= d, got d' = 0, d = 4\n"),
+    # an integer field of a spectrum file that does not parse
+    "bad-line-count": ("spectrum d=x\nt 2 1\n", ("analyze", "{f}"),
+                       "error: bad line count 'x'\n"),
+    "bad-count": ("spectrum d=2\nt 2 x\n", ("analyze", "{f}"), "error: bad count 'x'\n"),
+    "bad-multiplicity": ("spectrum d=2\nt x 1\n", ("analyze", "{f}"),
+                         "error: bad multiplicity 'x'\n"),
+    "bad-field-order": ("spectrum d=2\nt 2 1\norder x\n", ("analyze", "{f}"),
+                        "error: bad field order 'x'\n"),
+    # a spectrum is a full singular locus, so its flags row must list complete
+    "spectrum-flags-without-complete": (_SPEC + "flags real\n", ("analyze", "{f}"),
+                                        "error: a spectrum file's flags row must list "
+                                        "complete: a spectrum describes a full singular "
+                                        "locus\n"),
 }
 
 
@@ -639,6 +654,19 @@ def test_malformed_count_row_messages(tmp_path, capsys):
         f.write_text(text)
         assert _run(capsys, "analyze", str(f)) == \
             (2, "", f"error: expected '{row.split()[0]} K COUNT', got {row!r}\n")
+
+
+def test_module_entry_point(capsys):
+    # python -m negarr runs cli.run, which exits with main's status
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "negarr", "generate", "generic:4"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == _run(capsys, "generate", "generic:4")[1]
+    proc = subprocess.run([sys.executable, "-m", "negarr", "analyze", "/nonexistent/path.txt"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")
 
 
 def test_missing_file_is_input_error(capsys):

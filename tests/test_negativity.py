@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from negarr import negativity
 from negarr.arrangement import (
     KEEP_ORIGINAL_POINTS,
     RESTRICT_TO_NEW_SINGULAR,
@@ -64,8 +65,11 @@ def test_h_full_known_values():
 
 
 def test_h_full_requires_complete():
-    with pytest.raises(NegarrError, match="^spectrum is not flagged complete$"):
+    # the constructor refuses an incomplete spectrum, so h_full and the
+    # certificates need no guard of their own
+    with pytest.raises(ValueError, match="^a spectrum describes a full singular locus"):
         h_full(abstract_spectrum(9, {3: 11}, complete=False))
+    assert not hasattr(negativity, "_require_complete")
 
 
 def test_h_at_points_mixed_multiplicities():
