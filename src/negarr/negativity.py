@@ -225,6 +225,23 @@ def main_bound_case(d: int, s: int, count):
     return "general", 8 * d + 4 * count(2) + count(3) - 16 * s, 4 * s
 
 
+def main_bound_ceiling(d: int, s: int):
+    """A value num/den = -3 + 2d/s that the main lower bound of main_bound_case
+    never exceeds on d lines with s points on two or more of them, whenever
+    the pair-count identity holds (so over any field).  den is always
+    positive.
+
+    General case: the bound is -4 + (2d + t_2 + t_3/4)/s, and
+    t_2 + t_3/4 <= s.  Pencil: its point takes every pair, so s = 1, and the
+    bound 0 is below 2d - 3 for d >= 2.  Quasi-pencil: its point takes all
+    pairs but the d-1 through the last line, so s <= d (an arrangement has
+    s = d, the triangle s = 3), and the bound -2 + 3/d is at most
+    -1 <= -3 + 2d/s for d >= 3.  Equality holds on a generic arrangement
+    (only double points) and on the triangle.
+    """
+    return 2 * d - 3 * s, s
+
+
 def main_lower_bound(spec: Spectrum) -> CertificateReport:
     """Case-split lower bound for H on the full singular locus.
 

@@ -6,7 +6,7 @@ from math import comb
 
 from .arrangement import RESTRICT_TO_NEW_SINGULAR, remove_lines, singular_points, spectrum_of
 from .errors import InternalInconsistency, NegarrError
-from .negativity import h_full, main_bound_case
+from .negativity import h_full, main_bound_case, main_bound_ceiling
 
 
 def search_removals(arr, max_remove: int, budget: int) -> dict:
@@ -31,8 +31,10 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
     points on exactly m remaining lines, until the walk comes back.
     H = (d' - sum_m) / s is compared by cross-multiplying; on ties the
     lexicographically smaller subset wins.  A candidate is counted as
-    prunable when its main lower bound already exceeds the running best;
-    nothing is skipped.
+    prunable when its main lower bound already exceeds the running best; no
+    candidate is skipped.  The bound is computed only when its ceiling
+    -3 + 2d'/s (main_bound_ceiling) lies above the best, since otherwise the
+    bound cannot exceed it either.
 
     Returns {"max_remove", "candidates", "evaluated", "no_singular",
     "prunable", "best"}, where best is None when no removal keeps a singular
@@ -135,10 +137,12 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
             num = d_new - sum_left
             if best is not None:
                 if bounded:
-                    line_counts = line_hist[line]
-                    _, b_num, b_den = main_bound_case(d_new, s_left, count)
-                    if b_num * s_best > num_best * b_den:
-                        prunable += 1
+                    c_num, c_den = main_bound_ceiling(d_new, s_left)
+                    if c_num * s_best > num_best * c_den:
+                        line_counts = line_hist[line]
+                        _, b_num, b_den = main_bound_case(d_new, s_left, count)
+                        if b_num * s_best > num_best * b_den:
+                            prunable += 1
                 lhs, rhs = num * s_best, num_best * s_left
                 if lhs > rhs or (lhs == rhs and chosen + [line] >= best):
                     continue

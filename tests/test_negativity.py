@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 from math import comb
@@ -36,6 +37,7 @@ from negarr.negativity import (
     h_quadratic,
     hirzebruch_check,
     main_bound_case,
+    main_bound_ceiling,
     main_lower_bound,
     mean_multiplicity_bound,
     melchior_check,
@@ -233,6 +235,49 @@ def test_hirzebruch_degenerate_reasons_follow_main_bound_case():
         assert main_lower_bound(spec).applicable == (case != "general" or order is None)
         seen.add((case, order))
     assert len(seen) == 6
+
+
+def _bound_and_ceiling(spec):
+    """The case and value of the main bound, and its ceiling."""
+    case, num, den = main_bound_case(spec.d, spec.s, lambda k: spec.t.get(k, 0))
+    return case, Fraction(num, den), Fraction(*main_bound_ceiling(spec.d, spec.s))
+
+
+def _random_rational_locus(rng):
+    count, lines = rng.randint(3, 14), set()
+    while len(lines) < count:
+        c = [rng.randint(-3, 3) for _ in range(3)]
+        if any(c):
+            lines.add(ProjLine(Q, c))
+    return spectrum_of(singular_points(CoordArrangement(sorted(lines, key=repr))))
+
+
+def test_main_bound_never_exceeds_its_ceiling():
+    # the removal search computes the main bound only where this ceiling
+    # lies above its running best
+    spectra = [KLEIN, WIMAN]
+    spectra += [gen_kgon_mirror(k) for k in range(3, 13)]
+    spectra += [catalog_entry("boroczky").build(k) for k in (6, 12, 18, 24)]
+    for k in range(3, 31):
+        for w in (1, 3, 9):
+            with contextlib.suppress(NegarrError):
+                spectra.append(catalog_entry("cubicgroup").build(k, w))
+    rng = random.Random(29)
+    spectra += [_random_rational_locus(rng) for _ in range(60)]
+    spectra += [abstract_spectrum(*_random_complete_spectrum(rng)) for _ in range(400)]
+    cases = set()
+    for spec in spectra:
+        case, bound, ceiling = _bound_and_ceiling(spec)
+        assert bound <= ceiling, spec
+        cases.add(case)
+    assert cases == {"pencil", "quasi-pencil", "general"}
+
+
+def test_main_bound_meets_its_ceiling_on_double_points_and_the_triangle():
+    for r in range(3, 12):
+        _, bound, ceiling = _bound_and_ceiling(spectrum_of(singular_points(gen_generic(r))))
+        assert bound == ceiling
+    assert _bound_and_ceiling(abstract_spectrum(3, {2: 3})) == ("quasi-pencil", -1, -1)
 
 
 def test_main_lower_bound_stays_above_minus_four():

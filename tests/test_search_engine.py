@@ -28,7 +28,7 @@ from negarr.arrangement import (
 from negarr.catalog import gen_finite_field_full
 from negarr.cli import main, read_input
 from negarr.errors import EmptyResult
-from negarr.negativity import h_full, main_lower_bound
+from negarr.negativity import h_full, main_bound_case, main_lower_bound
 from negarr.search import search_removals
 
 
@@ -65,12 +65,13 @@ def _assert_agrees(path, max_remove):
     assert result["prunable"] == prunable
     if best is None:
         assert result["best"] is None
-        return
+        return result
     h, combo, sp = best
     assert result["best"]["removed"] == list(combo)
     assert result["best"]["d_new"] == sp.d
     assert result["best"]["h"] == h
     assert result["best"]["spectrum"] == sp
+    return result
 
 
 CATALOG = [
@@ -143,6 +144,48 @@ def test_search_matches_reference_on_concurrent_rational(seed, tmp_path):
     path.write_text(_random_rational_lines(rng, rng.randint(7, 13), bound=1))
     for r in range(1, 5):
         _assert_agrees(path, r)
+
+
+def _count_main_bound_calls(monkeypatch):
+    """The arguments of each main_bound_case call the engine makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return main_bound_case(*args)
+
+    monkeypatch.setattr("negarr.search.main_bound_case", counted)
+    return calls
+
+
+# The engine computes the main bound only where its ceiling -3 + 2d'/s lies
+# above the running best.  On inputs shaped like the benchmark's (20 random Q
+# lines, coefficients in [-50, 50]) that ceiling is below the best at every
+# leaf; on fermat:4 and quasipencil:12 it is above it at every leaf but the
+# first, which has no best yet, and many bounds exceed the best.
+@pytest.mark.parametrize("seed", range(3))
+def test_search_matches_reference_where_the_ceiling_skips_every_bound(
+        seed, tmp_path, monkeypatch):
+    path = tmp_path / "arr.txt"
+    path.write_text(_random_rational_lines(random.Random(seed), 20, bound=50))
+    calls = _count_main_bound_calls(monkeypatch)
+    for r in (1, 2):
+        _assert_agrees(path, r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("item", ["fermat:4", "quasipencil:12"])
+def test_search_matches_reference_where_the_ceiling_skips_no_bound(
+        item, tmp_path, monkeypatch):
+    path = tmp_path / "arr.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", item, "--format", "coords", "--out", str(path)]) == 0
+    calls = _count_main_bound_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = _assert_agrees(path, 3)
+    assert len(calls) == result["evaluated"] - 1
+    assert result["prunable"] > 0
 
 
 # GF(17^2) is above ZECH_MAX_ORDER, so its lines meet on the generic
