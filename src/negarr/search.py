@@ -21,20 +21,22 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
     of them, with multiplicities summing to sum_m, and pairs is the sum of
     C(m, 2) over all points.  Every level reads its line the same way: it
     takes the line's own totals over the whole locus (what dropping it takes
-    from s, sum_m and pairs, and its points by multiplicity) and corrects
-    them at the distinct points where it meets the chosen lines, at their
-    live multiplicity, which a meet-point table of the line pairs gives; two
-    lines that share two points raise InternalInconsistency.  So reading a
-    line costs O(size), whatever the number of points on it.  A level that
-    is not the last passes the new s, sum_m and pairs down, and lowers the
-    live multiplicity of each point on its line by one, with hist[m], the
-    points on exactly m remaining lines, until the walk comes back.
+    from s, sum_m and pairs) and corrects them at the distinct points where
+    it meets the chosen lines, at their live multiplicity, which a
+    meet-point table of the line pairs gives; two lines that share two
+    points raise InternalInconsistency.  So reading H at a line costs
+    O(size), whatever the number of points on it.  A level that is not the
+    last passes the new s, sum_m and pairs down, and lowers the live
+    multiplicity of each point on its line by one, with hist[m], the points
+    on exactly m remaining lines, until the walk comes back.
     H = (d' - sum_m) / s is compared by cross-multiplying; on ties the
     lexicographically smaller subset wins.  A candidate is counted as
     prunable when its main lower bound already exceeds the running best; no
     candidate is skipped.  The bound is computed only when its ceiling
     -3 + 2d'/s (main_bound_ceiling) lies above the best, since otherwise the
-    bound cannot exceed it either.
+    bound cannot exceed it either; then the leaf shifts its own line the
+    same way and reads the bound's counts from hist, at a cost of
+    O(points on the line).
 
     Returns {"max_remove", "candidates", "evaluated", "no_singular",
     "prunable", "best"}, where best is None when no removal keeps a singular
@@ -59,14 +61,11 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
     # from pairs it takes m - 1
     s_take = [int(m == 2) for m in range(d + 1)]
     sum_take = [2 if m == 2 else int(m > 2) for m in range(d + 1)]
-    # per line, over the whole locus: its points by multiplicity, and what
-    # dropping it takes from s, sum_m and pairs
-    line_hist = [[0] * (d + 1) for _ in range(d)]
+    # per line, over the whole locus: what dropping it takes from s, sum_m
+    # and pairs
     line_take = []
     for line in range(d):
         on = [full[pid] for pid in on_line[line]]
-        for m in on:
-            line_hist[line][m] += 1
         line_take.append((sum(s_take[m] for m in on), sum(sum_take[m] for m in on),
                           sum(on) - len(on)))
     # meets[i][j]: the point where lines i and j meet; with no pair met twice
@@ -96,17 +95,6 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
         evaluates the subset."""
         nonlocal best, num_best, s_best, evaluated, no_singular, prunable
         last = len(chosen) == size - 1
-
-        def count(k):
-            """hist[k] once line is dropped: its points, counted in
-            line_counts, move down one, the touched ones from their live
-            multiplicity m rather than m0."""
-            c = hist[k] - line_counts[k] + line_counts[k + 1]
-            for pid in touched:
-                m0, m = full[pid], mult[pid]
-                c += (k == m0) - (k == m0 - 1) - (k == m) + (k == m - 1)
-            return c
-
         for line in range(first, d - size + len(chosen) + 1):
             s_line, sum_line, pairs_line = line_take[line]
             s_left, sum_left, pairs_left = s - s_line, sum_m - sum_line, pairs - pairs_line
@@ -139,8 +127,9 @@ def search_removals(arr, max_remove: int, budget: int) -> dict:
                 if bounded:
                     c_num, c_den = main_bound_ceiling(d_new, s_left)
                     if c_num * s_best > num_best * c_den:
-                        line_counts = line_hist[line]
-                        _, b_num, b_den = main_bound_case(d_new, s_left, count)
+                        shift(line, -1)
+                        _, b_num, b_den = main_bound_case(d_new, s_left, hist.__getitem__)
+                        shift(line, 1)
                         if b_num * s_best > num_best * b_den:
                             prunable += 1
                 lhs, rhs = num * s_best, num_best * s_left

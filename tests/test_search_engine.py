@@ -32,7 +32,10 @@ from negarr.negativity import h_full, main_bound_case, main_lower_bound
 from negarr.search import search_removals
 
 
-def reference_search(path, max_remove):
+def reference_search(path, max_remove, reads=None):
+    """The counts and the best removal; reads, when given, collects in walk
+    order (spectrum, best H before it) for each candidate whose main bound
+    the prunable count compares."""
     inc = singular_points(read_input(path).arrangement)
     best = None  # (h, subset, spectrum)
     evaluated = no_singular = prunable = 0
@@ -46,16 +49,18 @@ def reference_search(path, max_remove):
             sp = spectrum_of(restricted)
             h = h_full(sp).h
             evaluated += 1
-            if (best is not None and sp.field_order is None
-                    and main_lower_bound(sp).bound_value > best[0]):
-                prunable += 1
+            if best is not None and sp.field_order is None:
+                if reads is not None:
+                    reads.append((sp, best[0]))
+                if main_lower_bound(sp).bound_value > best[0]:
+                    prunable += 1
             if best is None or h < best[0] or (h == best[0] and combo < best[1]):
                 best = (h, combo, sp)
     return evaluated, no_singular, prunable, best
 
 
-def _assert_agrees(path, max_remove):
-    evaluated, no_singular, prunable, best = reference_search(path, max_remove)
+def _assert_agrees(path, max_remove, reads=None):
+    evaluated, no_singular, prunable, best = reference_search(path, max_remove, reads)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = search_removals(read_input(path).arrangement, max_remove, 10**7)
@@ -146,16 +151,31 @@ def test_search_matches_reference_on_concurrent_rational(seed, tmp_path):
         _assert_agrees(path, r)
 
 
+def _bound_counts(d, count):
+    """The counts main_bound_case may read on d lines: t_2, t_3, t_d-1, t_d."""
+    return {k: count(k) for k in (2, 3, d - 1, d)}
+
+
 def _count_main_bound_calls(monkeypatch):
-    """The arguments of each main_bound_case call the engine makes."""
+    """For each main_bound_case call the engine makes, its d' and s and the
+    counts it may read, taken when it is called."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return main_bound_case(*args)
+    def counted(d, s, count):
+        calls.append((d, s, _bound_counts(d, count)))
+        return main_bound_case(d, s, count)
 
     monkeypatch.setattr("negarr.search.main_bound_case", counted)
     return calls
+
+
+def _assert_bound_reads(calls, reads):
+    """The engine's bound reads are, in walk order, the counts of the
+    reference's rebuilt spectra at the candidates whose ceiling -3 + 2d'/s
+    lies above the best before them."""
+    expected = [(sp.d, sp.s, _bound_counts(sp.d, lambda k: sp.t.get(k, 0)))
+                for sp, best_h in reads if Fraction(2 * sp.d - 3 * sp.s, sp.s) > best_h]
+    assert calls == expected
 
 
 # The engine computes the main bound only where its ceiling -3 + 2d'/s lies
@@ -180,12 +200,25 @@ def test_search_matches_reference_where_the_ceiling_skips_no_bound(
     path = tmp_path / "arr.txt"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", item, "--format", "coords", "--out", str(path)]) == 0
-    calls = _count_main_bound_calls(monkeypatch)
+    calls, reads = _count_main_bound_calls(monkeypatch), []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = _assert_agrees(path, 3)
+        result = _assert_agrees(path, 3, reads)
     assert len(calls) == result["evaluated"] - 1
     assert result["prunable"] > 0
+    _assert_bound_reads(calls, reads)
+
+
+# Seed 5 of the concurrent rational inputs: the ceiling skips some of the
+# leaves that have a best before them and passes the rest.
+def test_search_bound_reads_match_reference_on_concurrent_rational(tmp_path, monkeypatch):
+    rng = random.Random(5)
+    path = tmp_path / "arr.txt"
+    path.write_text(_random_rational_lines(rng, rng.randint(7, 13), bound=1))
+    calls, reads = _count_main_bound_calls(monkeypatch), []
+    _assert_agrees(path, 4, reads)
+    assert 0 < len(calls) < len(reads)
+    _assert_bound_reads(calls, reads)
 
 
 # GF(17^2) is above ZECH_MAX_ORDER, so its lines meet on the generic
