@@ -74,6 +74,28 @@ def prime_power(q: int):
     return (q, k) if is_prime(q) else None
 
 
+def _operator(hook, reflected=False, inverted=False):
+    """A FieldElement operator: the field's hook on the two reps, the operands
+    swapped when reflected and the second one inverted when inverted.
+
+    An element of another field raises NegarrError, an int or a Fraction is
+    coerced, and anything else gives NotImplemented.
+    """
+    def apply(self, other):
+        field = self.field
+        if isinstance(other, FieldElement):
+            if other.field != field:
+                raise NegarrError(f"cannot mix {field} and {other.field}")
+            rep = other.value
+        elif isinstance(other, (int, Fraction)):
+            rep = field._coerce_rep(other)
+        else:
+            return NotImplemented
+        a, b = (rep, self.value) if reflected else (self.value, rep)
+        return FieldElement(field, getattr(field, hook)(a, field._inv(b) if inverted else b))
+    return apply
+
+
 class FieldElement:
     """A value of some Field, stored in canonical form.
 
@@ -87,54 +109,12 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    def _rep(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise NegarrError(f"cannot mix {self.field} and {other.field}")
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return self.field._coerce_rep(other)
-        return None
-
-    def __add__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.value, rep))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.value, rep))
-
-    def __rsub__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(rep, self.value))
-
-    def __mul__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.value, rep))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.value, self.field._inv(rep)))
-
-    def __rtruediv__(self, other):
-        rep = self._rep(other)
-        if rep is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(rep, self.field._inv(self.value)))
+    __add__ = __radd__ = _operator("_add")
+    __sub__ = _operator("_sub")
+    __rsub__ = _operator("_sub", reflected=True)
+    __mul__ = __rmul__ = _operator("_mul")
+    __truediv__ = _operator("_mul", inverted=True)
+    __rtruediv__ = _operator("_mul", reflected=True, inverted=True)
 
     def __neg__(self):
         return self.field.zero - self
@@ -472,7 +452,8 @@ def _pdivmod(field, num, den):
 
 
 def _pinv_mod(field, a, modulus):
-    """(g, u) with u * a = g modulo the polynomial, g the gcd it finds."""
+    """(g, u) with u * a = g modulo the polynomial and g = gcd(a, modulus);
+    the one Euclid, which inverses and gcds both read."""
     old_r, r = _ptrim(field, list(a)), _ptrim(field, list(modulus))
     old_u, u = [field._coerce_rep(1)], []
     zero, mul, sub = field._coerce_rep(0), field._mul, field._sub
@@ -507,16 +488,9 @@ def is_irreducible_mod_p(field: PrimeField, coeffs) -> bool:
         return False
     for r in range(2, n + 1):
         if n % r == 0 and is_prime(r):
-            if len(_pgcd(field, (frobenius[n // r] - x).value, coeffs)) != 1:
+            if len(_pinv_mod(field, (frobenius[n // r] - x).value, coeffs)[0]) != 1:
                 return False
     return True
-
-
-def _pgcd(field, a, b):
-    a, b = _ptrim(field, list(a)), _ptrim(field, list(b))
-    while b:
-        a, b = b, _pdivmod(field, a, b)[1]
-    return a
 
 
 def _int_eval(coeffs, x, modulus=None):
@@ -543,7 +517,7 @@ def _has_rational_root(coeffs) -> bool:
     f = _ptrim(q, [q._coerce_rep(c) for c in coeffs])
     if f[0] == 0:
         return True
-    f, _ = _pdivmod(q, f, _pgcd(q, f, [i * c for i, c in enumerate(f)][1:]))
+    f, _ = _pdivmod(q, f, _pinv_mod(q, f, [i * c for i, c in enumerate(f)][1:])[0])
     a = _integral(f)
     n = len(a) - 1
     g = [a[i] * a[n] ** (n - 1 - i) for i in range(n)] + [1]
@@ -551,7 +525,7 @@ def _has_rational_root(coeffs) -> bool:
     dg = [i * c for i, c in enumerate(g)][1:]
     ell = 2
     while True:
-        if len(_pgcd(PrimeField(ell), [c % ell for c in g], [c % ell for c in dg])) == 1:
+        if len(_pinv_mod(PrimeField(ell), [c % ell for c in g], [c % ell for c in dg])[0]) == 1:
             break
         ell += 1
         while not is_prime(ell):

@@ -236,8 +236,11 @@ def test_spectrum_validation():
 
 
 def test_incidence_structure_validation():
-    with pytest.raises(ValueError):
-        IncidenceStructure((0, 1), [("p", frozenset({0, 2}))], complete=False)
+    for labels, message in (((0, 1, 0), "^line labels must be distinct$"),
+                            ((), "^at least one line required$"),
+                            ((0, 1), "^point 'p' references unknown lines$")):
+        with pytest.raises(ValueError, match=message):
+            IncidenceStructure(labels, [("p", frozenset({0, 2}))], complete=False)
     with pytest.raises(IdentityViolation):
         IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=True)
     ok = IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=False)

@@ -580,6 +580,8 @@ _ERROR_MESSAGES = {
                                  "cannot be real\n"),
     "unbalanced-modulus": ("field EXT Q [[1,1]\nline 1 0 0\n", ("analyze", "{f}"),
                            "error: unbalanced brackets in '[1,1'\n"),
+    "modulus-closed-early": ("field EXT Q [1]]\nline 1 0 0\n", ("analyze", "{f}"),
+                             "error: unbalanced brackets in '1]'\n"),
     "vector-beyond-degree": ("field EXT (GF 2) [1,1,1]\nline [1,1,1] 0 1\n", ("analyze", "{f}"),
                              "error: bad element literal '[1,1,1]' for EXT (GF 2) [1,1,1]: "
                              "vector '[1,1,1]' longer than degree 2\n"),
@@ -591,6 +593,11 @@ _ERROR_MESSAGES = {
     "kgon-too-small": (None, ("generate", "kgon:2"), "error: a polygon needs at least 3 sides\n"),
     "generic-too-small": (None, ("generate", "generic:1"),
                           "error: generic position needs at least 2 lines\n"),
+    "pencil-too-small": (None, ("generate", "pencil:1"),
+                         "error: a pencil needs at least 2 lines\n"),
+    "fermat-too-small": (None, ("generate", "fermat:2"), "error: the family needs n >= 3\n"),
+    "cubicgroup-too-small": (None, ("generate", "cubicgroup:2,1"),
+                             "error: the construction needs at least 3 lines\n"),
     "cubicgroup-torsion": (None, ("generate", "cubicgroup:7,9"),
                            "error: torsion count w = 9 is impossible for group order 7\n"),
     "cubicgroup-non-integral": (None, ("generate", "cubicgroup:4,3"),
@@ -687,9 +694,10 @@ def test_wrong_arity(capsys):
     assert "takes parameters" in err
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point_writes_the_catalog_note():
+    env = {**os.environ, "PYTHONPATH": str(Path(negarr.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "negarr", "generate", "boroczky:6"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "t 3 4" in proc.stdout
     assert "note" in proc.stdout

@@ -37,6 +37,8 @@ CASES = {
     "analyze-points-gfp": ["analyze", "{in}/gf3-lines.txt", "--points", "{in}/points-gf3.txt"],
     "analyze-points-ext-gf2": ["analyze", "{in}/gf4-lines.txt", "--points", "{in}/points-gf4.txt"],
     "analyze-points-q": ["analyze", "{in}/q-lines.txt", "--points", "{in}/points-q.txt"],
+    "analyze-points-not-increased": ["analyze", "{in}/kgon4.txt", "--points",
+                                     "{in}/points-kgon4.txt"],
     # subconfig --remove
     "remove-equidistributed": ["subconfig", "{in}/fermat3.txt", "--remove", "0"],
     "remove-varying": ["subconfig", "{in}/kgon4.txt", "--remove", "0,5"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 import time
@@ -107,6 +108,37 @@ def test_mixed_field_arithmetic_rejected():
         a + b
     with pytest.raises(NegarrError, match=r"^cannot mix GF\(7\) and Q$"):
         b * a
+
+
+# one nonzero element of Q, GF(7), GF(9) and Q(zeta_3)
+_OPERANDS = {"Q": Q.element(Fraction(3, 2)), "GF7": PrimeField(7).element(3),
+             "GF9": ExtensionField(PrimeField(3), [1, 0, 1]).gen() + 1,
+             "Qzeta3": cyclotomic_field(3).gen()}
+
+
+@pytest.mark.parametrize("a", _OPERANDS.values(), ids=_OPERANDS)
+def test_operators_share_one_operand_rule(a):
+    for op, k in ((operator.add, 3), (operator.sub, 3), (operator.mul, 2), (operator.truediv, 1)):
+        # neither operand order accepts a value that is no int, Fraction or element
+        for other in ("x", 1.5):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        # an int on the left is coerced as on the right
+        assert op(k, a) == op(a.field.element(k), a)
+    with pytest.raises(DivisionByZero):
+        1 / a.field.zero
+
+
+def test_coerce_rep_rejects_foreign_values():
+    gf7, gf9 = _OPERANDS["GF7"].field, _OPERANDS["GF9"].field
+    for field, foreign in ((gf7, Q.one), (gf9, gf7.one)):
+        for value, error, message in (
+                (foreign, NegarrError, f"cannot place 1 of {foreign.field} into {field}"),
+                ("x", TypeError, f"cannot interpret 'x' as an element of {field}")):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                field.element(value)
 
 
 def test_distinct_constructions_are_unequal():
@@ -251,6 +283,8 @@ def test_cyclotomic_polynomials_frozen():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        cyclotomic_polynomial(0)
 
 
 def _poly_mul(p, q):

@@ -344,10 +344,13 @@ def test_subconfig_formula_values():
     h = Fraction(-225, 67)
     assert subconfig_formula(h, 45, 44, 16, 201) == Fraction(-220, 67)
     assert subconfig_formula(h, 45, 43, 16, 201) == Fraction(-215, 67)
-    with pytest.raises(NegarrError, match="^need 1 <= d' <= d, got d' = 0, d = 45$"):
-        subconfig_formula(h, 45, 0, 16, 201)
-    with pytest.raises(NegarrError, match="^need 1 <= d' <= d, got d' = 46, d = 45$"):
-        subconfig_formula(h, 45, 46, 16, 201)
+    for args, error, message in (
+            ((45, 0, 16, 201), NegarrError, "^need 1 <= d' <= d, got d' = 0, d = 45$"),
+            ((45, 46, 16, 201), NegarrError, "^need 1 <= d' <= d, got d' = 46, d = 45$"),
+            ((45, 44, 0, 201), ValueError, "^points per line must be at least 1$"),
+            ((45, 44, 16, 0), ValueError, "^s must be at least 1$")):
+        with pytest.raises(error, match=message):
+            subconfig_formula(h, *args)
 
 
 def test_pair_removal_from_profile_wiman():
@@ -417,6 +420,8 @@ def test_finite_field_bound_fano():
     assert rep.applicable and rep.holds
     assert rep.slack == 1
     assert rep.note is not None  # full incidence attains h = -q
+    with pytest.raises(ValueError, match="^field order must be an integer >= 2$"):
+        finite_field_bound(fano, 1)
 
 
 def test_finite_field_bound_exhaustive_over_fano():

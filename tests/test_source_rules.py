@@ -1,4 +1,5 @@
-"""Rules on the source of src/negarr, checked on one parse of each file.
+"""Rules on the source of src/negarr (and, for the last one, tests/), checked
+on one parse of each file.
 
 - No assert statement: python -O strips them, so every check in the package
   must raise instead; this keeps the tier-1 run under -O meaningful.
@@ -9,6 +10,9 @@
   and flags, so no setting may come from the caller's environment.
 - The standard library only: every absolute import names a standard-library
   module (relative imports stay inside the package).
+- No shadowed definition, in src/negarr or in tests/: a module, class or
+  function body defines each function or class name once, since Python keeps
+  only the last definition (a shadowed test never runs).
 """
 
 import ast
@@ -16,16 +20,18 @@ import sys
 from functools import cache
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 
 _ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
 @cache
-def _nodes():
-    """(file, node) for every syntax node of every file under src/negarr."""
-    return [(path.relative_to(SRC).as_posix(), node)
-            for path in sorted((SRC / "negarr").rglob("*.py"))
+def _nodes(*dirs):
+    """(file, node) for every syntax node of every file under the given
+    directories of the repository, src/negarr when none is given."""
+    return [(path.relative_to(ROOT).as_posix(), node)
+            for d in dirs or ("src/negarr",)
+            for path in sorted((ROOT / d).rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
 
 
@@ -50,8 +56,10 @@ def _outside_stdlib(node):
 
 
 def test_the_rules_read_the_package():
-    assert {"negarr/__init__.py", "negarr/cli.py", "negarr/fields.py"} <= \
+    assert {"src/negarr/__init__.py", "src/negarr/cli.py", "src/negarr/fields.py"} <= \
         {path for path, _ in _nodes()}
+    assert {"src/negarr/fields.py", "tests/test_cli.py"} <= \
+        {path for path, _ in _nodes("src/negarr", "tests")}
 
 
 def test_no_assert_statements():
@@ -78,3 +86,26 @@ def test_no_environment_reads():
 def test_standard_library_imports_only():
     assert [f"{path}:{node.lineno}: {name}" for path, node in _nodes()
             for name in _outside_stdlib(node)] == []
+
+
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, *_DEFINITIONS)
+
+
+def _redefinitions(node):
+    """The definitions in a module, class or function body whose name an
+    earlier definition in that same body already took."""
+    if not isinstance(node, _SCOPES):
+        return []
+    seen, again = set(), []
+    for stmt in node.body:
+        if isinstance(stmt, _DEFINITIONS):
+            if stmt.name in seen:
+                again.append(stmt)
+            seen.add(stmt.name)
+    return again
+
+
+def test_no_shadowed_definitions():
+    assert [f"{path}:{stmt.lineno}: {stmt.name}" for path, node in _nodes("src/negarr", "tests")
+            for stmt in _redefinitions(node)] == []
