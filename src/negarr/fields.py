@@ -252,7 +252,9 @@ class Field:
     # and GF(p) on ints, _ZechField on logs, _IntegralField fraction-free;
     # plain ExtensionField keeps these bodies); a class that stores triples in
     # another form than _canonical's default (Q and _IntegralField, as int
-    # vectors) also overrides _affine, _triple_key and _incidences
+    # vectors) also overrides _affine and _triple_key.  GF(p), _ZechField and
+    # _IntegralField count _incidences on their own arithmetic; Q runs the
+    # body here on its stored ints
 
 
 def _integral(values):
@@ -795,6 +797,18 @@ class _ZechField(ExtensionField):
                             minus(wrap[c1 + a2], wrap[c2 + a1]),
                             minus(wrap[a1 + b2], wrap[a2 + b1]))
 
+    def _incidences(self, points, lines):
+        # a x + b y + c z = 0 iff g^(a+x) - g^(b+y+h) = g^(c+z+h) = -c z, on
+        # logs; h is folded into each line's log of b and c once
+        log, wrap, minus, h = self._zlog, self._zwrap, self._minus, self._zh
+        lines = [(log[a], log[b] + h, log[c] + h) for a, b, c in lines]
+        counts = []
+        for point in points:
+            x, y, z = [log[r] for r in point]
+            counts.append(sum(1 for a, b, c in lines
+                              if minus(wrap[a + x], wrap[b + y]) == wrap[c + z]))
+        return counts
+
 
 class _IntegralField(ExtensionField):
     """Q[x]/(f) for a monic f with integer coefficients, meeting fraction-free.
@@ -807,8 +821,14 @@ class _IntegralField(ExtensionField):
     matrix of multiplication by a, with both as right-hand sides (Bareiss,
     "Sylvester's identity and multistep integer-preserving Gaussian
     elimination", Math. Comp. 1968), which gives the determinant and int
-    numerators; no Fraction is built.  The class has no __init__ of its own,
-    so the UnvalidatedModulusWarning of ExtensionField names the caller.
+    numerators; no Fraction is built.  Coordinate models repeat a few pivot
+    values, so a pivot's second solve also takes the unit vector as a
+    right-hand side, which gives its adjugate det * a^-1 as an int vector,
+    and the field keeps it: from the third sighting on the numerators are
+    r * adj mod f, the same ints, since both are det * (r / a).  An integer
+    pivot divides by itself, and a zero divisor raises at every sighting and
+    is never kept.  The class has no __init__ of its own, so the
+    UnvalidatedModulusWarning of ExtensionField names the caller.
     """
 
     @cached_property
@@ -816,11 +836,15 @@ class _IntegralField(ExtensionField):
         """The modulus as ints."""
         return [int(c) for c in self.modulus]
 
+    @cached_property
+    def _adjugates(self):
+        """Each non-integer pivot _scaled has divided by: () after its first
+        sighting, then (det, det * pivot^-1 as an int vector)."""
+        return {}
+
     def _divide(self, a, rhs):
         """(det, numerators): int vectors n with r / a = n / det for each int
-        vector r in rhs."""
-        if not any(a[1:]):  # an integer
-            return a[0], rhs
+        vector r in rhs, a not an integer."""
         f = self._f
         # column j of the matrix is a * x^j; the right-hand sides follow
         cols = [a]
@@ -861,7 +885,22 @@ class _IntegralField(ExtensionField):
         i = next((i for i, a in enumerate(triple) if any(a)), None)
         if i is None:
             raise ValueError("projective triple must have a nonzero coordinate")
-        det, rest = self._divide(triple[i], triple[i + 1:])
+        a, rest = triple[i], triple[i + 1:]
+        if not any(a[1:]):  # an integer
+            det = a[0]
+        else:
+            key = tuple(a)
+            known = self._adjugates.get(key)
+            if known:  # the third sighting on: r / a = (r * adj) / det
+                det, adj = known
+                f, size = self._f, 2 * self.degree - 1
+                rest = [_int_reduce(_int_addmul([0] * size, r, adj), f) for r in rest]
+            elif known is None:  # the first; a generic input repeats no pivot
+                det, rest = self._divide(a, rest)
+                self._adjugates[key] = ()
+            else:  # the second: the unit vector's numerators are adj
+                det, (*rest, adj) = self._divide(a, (*rest, (1,) + (0,) * (self.degree - 1)))
+                self._adjugates[key] = (det, adj)
         g = gcd(det, *(v for r in rest for v in r))
         if det < 0:
             g = -g

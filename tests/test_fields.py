@@ -29,6 +29,8 @@ from negarr.fields import (
 )
 from negarr.fields import (
     _has_rational_root,
+    _int_addmul,
+    _int_reduce,
     _IntegralField,
     _pdivmod,
     _pinv_mod,
@@ -769,6 +771,119 @@ def test_reducible_integral_modulus_fails_alike():
         assert got == _outcome(_generic_cross, field, u, v)
         outcomes.add(got[0] if got[0] in (ValueError, NegarrError) else "point")
     assert outcomes == {ValueError, NegarrError, "point", "unstored"}
+
+
+def _adjugate_fields():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        quartic = parse_field("EXT Q [-2,0,0,0,1]")  # x^4 - 2, not cyclotomic
+    return {**{f"cyclo{n}": cyclotomic_field(n) for n in (5, 7, 12)}, "x4-2": quartic}
+
+
+_ADJUGATE_FIELDS = _adjugate_fields()
+
+
+def _cold(field):
+    """A new handle of the integral field, which has divided by no pivot."""
+    return ExtensionField(Q, field.modulus, assume_irreducible=True)
+
+
+@pytest.mark.parametrize("field", _ADJUGATE_FIELDS.values(), ids=_ADJUGATE_FIELDS)
+def test_remembered_adjugates_store_what_a_cold_field_stores(field):
+    """Each pivot is divided by 1, 2, 3 or 5 times, in shuffled order and
+    with other entries each time: the first sighting solves and notes the
+    pivot, the second also keeps det * pivot^-1, and later ones multiply by
+    it.  Every stored triple equals that of a field that never saw the
+    pivot."""
+    rng = random.Random(field.key)
+    k = field.degree
+    warm = _cold(field)
+    assert type(warm) is _IntegralField and warm == field
+
+    def vector():
+        return [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(k)]
+    pivots = {}
+    while len(pivots) < 24:
+        pivot = vector()
+        if any(pivot[1:]):
+            pivots[tuple(pivot)] = rng.choice((1, 2, 3, 5))
+    sightings = [pivot for pivot, times in pivots.items() for _ in range(times)]
+    rng.shuffle(sightings)
+    for pivot in sightings:
+        at = rng.randrange(3)
+        triple = [[0] * k] * at + [list(pivot)] + [vector() for _ in range(2 - at)]
+        assert warm._scaled(*triple) == _cold(field)._scaled(*triple)
+    assert warm._adjugates.keys() == pivots.keys()
+    for pivot, times in pivots.items():
+        known = warm._adjugates[pivot]
+        if times == 1:
+            assert known == ()
+            continue
+        det, adj = known
+        unit = _int_reduce(_int_addmul([0] * (2 * k - 1), pivot, adj), warm._f)
+        assert unit == [det] + [0] * (k - 1)
+
+
+def test_integer_pivots_bypass_the_adjugate_memo():
+    field = _cold(cyclotomic_field(12))
+    for c in (1, -2, 3, 3, 3):
+        integer = [c, 0, 0, 0]
+        for triple in ((integer, [1, 2, 0, 1], [0, -1, 1, 0]), ([0] * 4, integer, [5, 0, 1, 0])):
+            stored = field._scaled(*triple)
+            reps = tuple(map(field._coerce_rep, triple))
+            assert field._affine(stored) == Field._canonical(field, reps)
+    assert field._adjugates == {}
+
+
+def test_zero_divisor_pivot_raises_at_every_sighting():
+    # x^2 + 1 divides (x^2 + 1)(x^2 + 2), so it has no inverse modulo it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        field = parse_field("EXT Q [2,0,3,0,1]")
+    zero_divisor, unit = [1, 0, 1, 0], [0, 1, 0, 0]
+    for _ in range(3):
+        with pytest.raises(NegarrError, match="shares a factor"):
+            field._scaled(zero_divisor, [1, 1, 0, 0], [0, 0, 0, 1])
+        assert tuple(zero_divisor) not in field._adjugates
+        with pytest.raises(NegarrError, match="shares a factor"):
+            field._scaled([0] * 4, zero_divisor, [3, 0, 0, 1])
+        field._scaled(unit, [1, 1, 0, 0], [0, 0, 0, 1])
+    assert field._adjugates.keys() == {tuple(unit)}
+
+
+def _full_plane(field):
+    """The reps of every point of the projective plane over the finite field,
+    each with a leftmost one; by duality also every line."""
+    zero, one = field.zero.value, field.one.value
+    elements = [e.value for e in field.iter_elements()]
+    return ([(one, a, b) for a in elements for b in elements]
+            + [(zero, one, b) for b in elements] + [(zero, zero, one)])
+
+
+_ZECH_PLANES = {q: ExtensionField(PrimeField(p), modulus) for q, p, modulus in (
+    (4, 2, [1, 1, 1]), (8, 2, [1, 1, 0, 1]), (9, 3, [1, 0, 1]), (16, 2, [1, 1, 0, 0, 1]))}
+
+
+@pytest.mark.parametrize("field", _ZECH_PLANES.values(), ids=[f"gf{q}" for q in _ZECH_PLANES])
+def test_zech_incidences_match_generic_body(field):
+    """_ZechField counts on its log tables what the generic body counts on
+    polynomial products: over the full plane each point lies on q + 1 lines
+    (h = 0 in characteristic 2), and on three seeded lines some points lie
+    on none."""
+    assert type(field) is _ZechField
+    q, plane = field.order, _full_plane(field)
+    start = time.process_time()
+    counts = field._incidences(plane, plane)
+    # about 0.2 us per test; the generic body takes about 20
+    assert time.process_time() - start < 0.5 or q < 16
+    assert counts == [q + 1] * len(plane) == Field._incidences(field, plane, plane)
+    rng = random.Random(q)
+    elements = [e.value for e in field.iter_elements()]
+    points = [tuple(rng.choice(elements) for _ in range(3)) for _ in range(60)]
+    lines = rng.sample(plane, 3)
+    counts = field._incidences(points + plane, lines)
+    assert counts == Field._incidences(field, points + plane, lines)
+    assert 0 in counts[:60] and 0 in counts[60:]
 
 
 def test_fields_off_the_kernels_stay_generic():
