@@ -119,26 +119,32 @@ class IncidenceStructure:
             raise ValueError("line labels must be distinct")
         if not labels:
             raise ValueError("at least one line required")
-        pts = tuple((key, frozenset(members)) for key, members in points)
-        if not pts:
-            raise EmptyResult("incidence structure has no points")
-        on_line = {lab: [] for lab in labels}
-        for pid, (key, members) in enumerate(pts):
+        # one pass; twice_pairs sums m(m - 1), twice the pair count
+        pts, on_line, twice_pairs, short = [], {lab: [] for lab in labels}, 0, False
+        for pid, (key, members) in enumerate(points):
+            members = frozenset(members)
             for lab in members:
                 ids = on_line.get(lab)
                 if ids is None:
                     raise ValueError(f"point {key!r} references unknown lines")
                 ids.append(pid)
+            pts.append((key, members))
+            m = len(members)
+            twice_pairs += m * (m - 1)
+            if m < 2:
+                short = True
+        if not pts:
+            raise EmptyResult("incidence structure has no points")
         if complete:
-            if any(len(members) < 2 for _, members in pts):
+            if short:
                 raise ValueError("a complete incidence structure holds only "
                                  "points on two or more of its lines")
-            lhs = sum(comb(len(members), 2) for _, members in pts)
+            lhs = twice_pairs // 2
             rhs = comb(len(labels), 2)
             if lhs != rhs:
                 raise IdentityViolation(lhs, rhs)
         self.line_labels = labels
-        self.points = pts
+        self.points = tuple(pts)
         self.on_line = on_line
         self.complete = bool(complete)
         self.real = bool(real)
@@ -278,7 +284,7 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     ordered = sorted(acc.items(), key=lambda kv: key(kv[0]))
     return IncidenceStructure(
         range(arr.d),
-        [(ProjPoint._of_canonical(field, r), members) for r, members in ordered],
+        ((ProjPoint._of_canonical(field, r), members) for r, members in ordered),
         complete=True,
         real=arr.real,
         field_order=field.order,

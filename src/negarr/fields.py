@@ -8,6 +8,7 @@ are structural and exact.  Nothing in this package ever touches a float.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +31,9 @@ GREATER = 1
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+
+# A literal that int() reads as Fraction() does; any other goes to Fraction()
+_PLAIN_INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def is_prime(n: int) -> bool:
@@ -234,7 +238,9 @@ class Field:
 
     def _triple_key(self, reps):
         """The sort key of a stored triple: sort_key_rep of each entry of its
-        _affine view."""
+        _affine view.  Q and _IntegralField return those keys concatenated,
+        one flat tuple of ints in the same order, as every entry's key has
+        the same length."""
         key = self.sort_key_rep
         return tuple(key(r) for r in self._affine(reps))
 
@@ -288,6 +294,8 @@ class RationalField(Field):
             if v.field == self:
                 return v.value
             raise NegarrError(f"cannot place {v!r} of {v.field} into {self}")
+        if type(v) is Fraction:
+            return v
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         raise TypeError(f"cannot interpret {v!r} as a rational")
@@ -318,13 +326,15 @@ class RationalField(Field):
         return tuple(Fraction(r, pivot) for r in reps)
 
     def _triple_key(self, reps):
-        # (numerator, denominator) of each entry over the positive pivot
+        # numerator, denominator of each entry over the positive pivot
         x, y, z = reps
         p = x or y or z
         gx, gy, gz = gcd(p, x), gcd(p, y), gcd(p, z)
-        return ((x // gx, p // gx), (y // gy, p // gy), (z // gz, p // gz))
+        return (x // gx, p // gx, y // gy, p // gy, z // gz, p // gz)
 
     def parse_rep(self, token):
+        if _PLAIN_INTEGER(token):
+            return Fraction(int(token))
         try:
             return Fraction(token)
         except ZeroDivisionError:
@@ -930,9 +940,16 @@ class _IntegralField(ExtensionField):
         return tuple(tuple(Fraction(v, pivot) for v in r) for r in reps)
 
     def _triple_key(self, reps):
-        # (numerator, denominator) of each coefficient over the positive pivot
+        # numerator, denominator of each coefficient over the positive pivot
         p = next(r[0] for r in reps if any(r))
-        return tuple(tuple((v // (g := gcd(p, v)), p // g) for v in r) for r in reps)
+        key = []
+        push = key.append
+        for r in reps:
+            for v in r:
+                g = gcd(p, v)
+                push(v // g)
+                push(p // g)
+        return tuple(key)
 
 
 # ---- the literal and descriptor grammar: inverses of format_rep and describe ----

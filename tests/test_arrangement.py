@@ -250,6 +250,34 @@ def test_incidence_structure_validation():
                            complete=True)
 
 
+def test_incidence_structure_errors_keep_their_precedence():
+    """Unknown labels are reported before a point on fewer than two lines,
+    which is reported before the pair-count identity; no points at all is
+    EmptyResult, complete or not.  Points may come from a one-shot iterator."""
+    labels = (0, 1, 2)
+    unknown = "^point 'q' references unknown lines$"
+    short = "^a complete incidence structure holds only points on two or more of its lines$"
+    with pytest.raises(ValueError, match=unknown):
+        IncidenceStructure(labels, [("p", {0, 1, 2}), ("q", {1, 3})], complete=True)
+    with pytest.raises(ValueError, match=short):
+        IncidenceStructure(labels, [("p", {0, 1, 2}), ("q", {1})], complete=True)
+    identity = r"^pair-count identity violated: sum C\(m_i,2\) = 1 but C\(d,2\) = 3$"
+    with pytest.raises(IdentityViolation, match=identity):
+        IncidenceStructure(labels, iter([("p", {0, 1})]), complete=True)
+    for complete in (True, False):
+        with pytest.raises(EmptyResult, match="^incidence structure has no points$"):
+            IncidenceStructure(labels, iter(()), complete=complete)
+    # a point of multiplicity 1 before a point on an unknown line, and after it
+    for points in ([("p", {0}), ("q", {0, 5})], [("q", {5, 0}), ("p", {0})]):
+        with pytest.raises(ValueError, match=unknown):
+            IncidenceStructure(labels, points, complete=True)
+    inc = IncidenceStructure(labels, iter([("p", [0, 1]), ("q", (1, 2)), ("r", {2})]),
+                             complete=False)
+    assert inc.points == (("p", frozenset({0, 1})), ("q", frozenset({1, 2})),
+                          ("r", frozenset({2})))
+    assert inc.on_line == {0: [0], 1: [0, 1], 2: [1, 2]}
+
+
 def test_remove_lines_matches_recomputation():
     # removal bookkeeping must agree with recomputing the subarrangement
     arrangements = [gen_fermat(3), gen_fermat(4), gen_fermat(5),

@@ -47,6 +47,9 @@ CASES = {
     "pairs-spectrum": ["subconfig", "{in}/wiman.txt", "--pairs-meeting", "3"],
     "pairs-spectrum-fails": ["subconfig", "{in}/klein-real.txt", "--pairs-meeting", "4"],
     "pairs-coords": ["subconfig", "{in}/fermat3.txt", "--pairs-meeting", "3"],
+    # its direct pair is the first point of the locus in sort-key order over Q,
+    # ahead of a point with the same first numerator and a larger denominator
+    "pairs-q": ["subconfig", "{in}/q-shuffled.txt", "--pairs-meeting", "2"],
     # subconfig --formula
     "formula-d": ["subconfig", "{in}/wiman.txt", "--formula", "44"],
     "formula-d-n": ["subconfig", "{in}/no-profile.txt", "--formula", "8,4"],

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from negarr.cli import parse_input
 from negarr.errors import DivisionByZero, NegarrError, UnvalidatedModulusWarning
 from negarr.fields import (
     EQUAL,
@@ -38,6 +39,7 @@ from negarr.fields import (
     _primitive,
     _ZechField,
 )
+from negarr.projective import ProjLine
 
 Q = RationalField()
 
@@ -568,6 +570,50 @@ def test_grammar_round_trip():
     assert tower.parse_rep("[ [0,1] , [1] ]") == tower.element([[0, 1], [1]]).value
 
 
+# Fraction's literal grammar beyond [+-]?[0-9]+, and integers that int() and
+# Fraction() both read; "1_0" is rejected by Fraction before Python 3.11 and
+# accepted by int, and "\u0663" is an Arabic-Indic three
+_LITERAL_EDGES = ("1_0", "\u0663", "+3", "-0", "007", "3/6", "0.5", "1e2", "1/0", " 1")
+
+
+def _fraction_outcome(token):
+    """What parse_rep must give for a token: Fraction(token), or the
+    ValueError message it raises (a zero denominator in parse_rep's words)."""
+    try:
+        return Fraction(token)
+    except ValueError as exc:
+        return str(exc)
+    except ZeroDivisionError:
+        return f"zero denominator in {token!r}"
+
+
+@pytest.mark.parametrize("token", _LITERAL_EDGES)
+def test_rational_literals_parse_as_fraction_does(token):
+    expected = _fraction_outcome(token)
+    integral = cyclotomic_field(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        ext = parse_field("EXT Q [-1/2,0,1]")
+    parsers = [Q.parse_rep] + [lambda t, f=f: f.parse_rep(f"[{t},1]")[0] for f in (integral, ext)]
+    for parse in parsers:
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                parse(token)
+            assert str(info.value) == expected
+        else:
+            got = parse(token)
+            assert type(got) is Fraction and got == expected
+    if token.strip() != token:
+        return  # a file row splits at whitespace
+    text = f"field Q\nline {token} 1 0\n"
+    if isinstance(expected, str):
+        with pytest.raises(NegarrError) as info:
+            parse_input(text)
+        assert str(info.value) == f"bad element literal {token!r} for Q: {expected}"
+    else:
+        assert parse_input(text).arrangement.lines == (ProjLine(Q, (expected, 1, 0)),)
+
+
 def test_repr_round_trip_is_stable():
     gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
     e = gf4.element([1, 1])
@@ -684,6 +730,11 @@ def _large_triple(field, rng):
                  for _ in range(3))
 
 
+def _ints(key):
+    """The ints of a nested sort key, in order: the per-entry keys concatenated."""
+    return (key,) if isinstance(key, int) else tuple(v for k in key for v in _ints(k))
+
+
 def test_primitive_triples_and_their_sort_keys():
     """Over Q and each integral Q[x]/(f) a triple is stored as int vectors
     with gcd 1 over all coefficients whose leftmost nonzero vector is a
@@ -705,7 +756,7 @@ def test_primitive_triples_and_their_sort_keys():
             assert lead[0] > 0 and not any(lead[1:])
             affine = Field._canonical(field, t)
             assert field._affine(stored) == affine
-            assert field._triple_key(stored) == tuple(field.sort_key_rep(r) for r in affine)
+            assert field._triple_key(stored) == _ints(tuple(field.sort_key_rep(r) for r in affine))
             scale = rng.choice((-1, 1)) * rng.randint(1, 10**6)
             multiple = tuple(scale * r for r in stored) if field == Q else tuple(
                 tuple(scale * c for c in r) for r in stored)
@@ -715,6 +766,40 @@ def test_primitive_triples_and_their_sort_keys():
                 assert field._canonical(tuple(field._mul(r, unit) for r in t)) == stored
     with pytest.raises(ValueError, match="nonzero coordinate"):
         _primitive(0, 0, 0)
+
+
+def _key_order_fields():
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        tower = ExtensionField(gf4, [gf4.gen().value, [1], [1]])
+    return {"q": Q, "gf13": PrimeField(13), "zech-gf9": ExtensionField(PrimeField(3), [1, 0, 1]),
+            "gf289": ExtensionField(PrimeField(17), [14, 0, 1]), "cyclo12": cyclotomic_field(12),
+            "ext-q": parse_field("EXT Q [-1/2,0,1]"), "gf16-tower": tower}
+
+
+_KEY_ORDER_FIELDS = _key_order_fields()
+
+
+@pytest.mark.parametrize("field", _KEY_ORDER_FIELDS.values(), ids=_KEY_ORDER_FIELDS)
+def test_triple_keys_sort_as_the_per_entry_keys(field):
+    """_triple_key orders stored triples as the tuple of sort_key_rep of
+    their _affine entries does, whether it returns that tuple or one flat
+    tuple of ints."""
+    rng = random.Random(field.key)
+    zero = field.zero.value
+    stored = set()
+    for _ in range(300):
+        t = tuple(zero if rng.random() < 0.3 else _random_element(field, rng).value
+                  for _ in range(3))
+        if not all(map(field._is_zero, t)):
+            stored.add(field._canonical(t))
+    per_entry = {t: tuple(field.sort_key_rep(r) for r in field._affine(t)) for t in stored}
+    by_key = sorted(stored, key=field._triple_key)
+    assert by_key == sorted(stored, key=per_entry.__getitem__)
+    assert len({field._triple_key(t) for t in stored}) == len(stored) > 50
+    if _stores_ints(field):
+        assert all(type(v) is int for t in stored for v in field._triple_key(t))
 
 
 def test_rational_incidences_on_ints_match_fraction_views():
