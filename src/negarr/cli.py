@@ -191,18 +191,19 @@ def parse_input(text: str) -> InputFile:
                           "complete belongs in a spectrum file")
     if field is None:
         raise NegarrError(f"{kind} rows need a field row")
+    # every literal is read before a zero row can raise
     triples = [_triple(field, row) for row in rows]
+    cls = ProjPoint if kind == "point" else ProjLine
+    built = [cls._of_canonical(field, field._canonical(reps)) for reps in triples]
     if kind == "point":
-        return InputFile("points", points=PointSet([ProjPoint(field, c) for c in triples]),
-                         notes=notes)
-    lines = [ProjLine(field, c) for c in triples]
-    return InputFile("coordinates", arrangement=CoordArrangement(lines, real=real),
+        return InputFile("points", points=PointSet(built), notes=notes)
+    return InputFile("coordinates", arrangement=CoordArrangement(built, real=real),
                      notes=notes)
 
 
 def _triple(field: Field, row):
-    """The reps of the three element literals (the syntax format_rep emits)
-    of a 'line' or 'point' row."""
+    """The field's reps of the three element literals (the syntax format_rep
+    emits) of a 'line' or 'point' row, as the tuple _canonical takes."""
     if len(row) != 4:
         raise NegarrError(f"{row[0]} rows need three entries, got {row[1:]}")
     reps = []
@@ -211,7 +212,7 @@ def _triple(field: Field, row):
             reps.append(field.parse_rep(token))
         except ValueError as exc:
             raise NegarrError(f"bad element literal {token!r} for {field!r}: {exc}") from None
-    return reps
+    return tuple(reps)
 
 
 def _once(seen: bool, row: str):

@@ -294,8 +294,6 @@ class RationalField(Field):
             if v.field == self:
                 return v.value
             raise NegarrError(f"cannot place {v!r} of {v.field} into {self}")
-        if type(v) is Fraction:
-            return v
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         raise TypeError(f"cannot interpret {v!r} as a rational")
@@ -669,9 +667,9 @@ class ExtensionField(Field):
 
     def parse_rep(self, token):
         token = token.strip()
-        if not token.startswith("["):
-            return self._pad([self.base.parse_rep(token)])
-        reps = _parse_vector(self.base, token)
+        # a bare base literal is a vector of one entry
+        reps = (_parse_vector(self.base, token) if token.startswith("[")
+                else [self.base.parse_rep(token)])
         if len(reps) > self.degree:
             raise ValueError(f"vector {token!r} longer than degree {self.degree}")
         return self._pad(reps)

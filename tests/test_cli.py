@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,12 @@ from negarr.arrangement import CoordArrangement
 from negarr.cli import main, parse_field, parse_input, render_coords, render_spectrum
 from negarr.errors import InternalInconsistency, NegarrError
 from negarr.fields import ExtensionField, PrimeField, RationalField
-from negarr.projective import ProjLine
+from negarr.projective import ProjLine, ProjPoint
+
+
+# Q(zeta_12) and other fields whose modulus negarr cannot prove irreducible
+# warn when built; the warning is no part of what these tests check
+_QUIET = pytest.mark.filterwarnings("ignore::negarr.errors.UnvalidatedModulusWarning")
 
 
 def _run(capsys, *argv):
@@ -555,6 +559,7 @@ _Q_FOUR = "field Q\nline 1 0 0\nline 0 1 0\nline 0 0 1\nline 1 1 1\n"
 _Q_FIVE = _Q_FOUR + "line 1 -1 0\n"
 _PAIR_OF_THREE = ("error: need at least four lines to remove two: "
                   "one line left has no singular point\n")
+_NO_NONZERO = "error: projective triple must have a nonzero coordinate\n"
 _ERROR_MESSAGES = {
     "no-coordinate-model": (None, ("generate", "cubicgroup:9,9", "--format", "coords"),
                             "error: cubicgroup has no coordinate model\n"),
@@ -615,6 +620,15 @@ _ERROR_MESSAGES = {
                              "error: no point of multiplicity 3 in the spectrum\n"),
     "formula-zero-lines": (_Q_FOUR, ("subconfig", "{f}", "--formula", "0"),
                            "error: need 1 <= d' <= d, got d' = 0, d = 4\n"),
+    # a zero row, on each meet path's _canonical; every literal is read
+    # before any triple is built, so a bad literal after a zero row wins
+    **{f"zero-line-{name}": (f"field {descriptor}\nline 0 0 0\nline 0 1 0\n", ("analyze", "{f}"),
+                             _NO_NONZERO)
+       for name, descriptor in (("q", "Q"), ("gf7", "GF 7"), ("zech-gf9", "EXT (GF 3) [1,0,1]"),
+                                ("cyclo12", "EXT Q [1,0,-1,0,1]"),
+                                ("ext-q-non-integral", "EXT Q [-1/2,0,1]"))},
+    "zero-line-before-bad-literal": ("field Q\nline 0 0 0\nline x 0 0\n", ("analyze", "{f}"),
+                                     "error: bad element literal 'x' for Q: "),
     # an integer field of a spectrum file that does not parse
     "bad-line-count": ("spectrum d=x\nt 2 1\n", ("analyze", "{f}"),
                        "error: bad line count 'x'\n"),
@@ -631,6 +645,7 @@ _ERROR_MESSAGES = {
 }
 
 
+@_QUIET
 @pytest.mark.parametrize("text, argv, message", _ERROR_MESSAGES.values(), ids=_ERROR_MESSAGES)
 def test_error_messages_through_main(text, argv, message, tmp_path, capsys):
     f = tmp_path / "in.txt"
@@ -643,6 +658,13 @@ def test_error_messages_through_main(text, argv, message, tmp_path, capsys):
         assert err == message
     else:  # the rest is the Python parser's own wording
         assert err.startswith(message)
+
+
+def test_zero_point_row_through_main(tmp_path, capsys):
+    coords, points = tmp_path / "in.txt", tmp_path / "points.txt"
+    coords.write_text(_TRI)
+    points.write_text("field Q\npoint 1 1 1\npoint 0 0 0\n")
+    assert _run(capsys, "analyze", str(coords), "--points", str(points)) == (2, "", _NO_NONZERO)
 
 
 def test_missing_irreducible_polynomial_is_internal(monkeypatch, capsys):
@@ -800,18 +822,101 @@ def test_spectrum_render_parse_round_trip():
     assert back.notes == ["remark"]
 
 
-def test_coords_render_parse_round_trip():
+# one field per meet path: Q and GF(p) on ints, _ZechField, generic
+# ExtensionField (an order above ZECH_MAX_ORDER, a non-integral EXT Q, a
+# tower) and _IntegralField
+_PARSE_FIELDS = {
+    "q": "Q", "gf7": "GF 7", "zech-gf9": "EXT (GF 3) [1,0,1]",
+    "generic-gf289": "EXT (GF 17) [14,0,1]", "cyclo12": "EXT Q [1,0,-1,0,1]",
+    "ext-q-non-integral": "EXT Q [-1/2,0,1]",
+    "gf16-over-gf4": "EXT (EXT (GF 2) [1,1,1]) [[0,1],[1,0],[1,0]]",
+    "sqrt2": "EXT Q [-2,0,1]",
+}
+
+
+def _sample_triples(k):
+    """Six distinct triples over k, some with a leftmost entry other than one
+    and, over Q and its extensions, with non-integral entries."""
+    x = k.gen() if isinstance(k, ExtensionField) else k.element(3)
+    y = k.one / (x + 2)
+    return [(1, 0, 0), (0, 1, 0), (1, x, -1), (x, y, 3), (0, x, 1), (x * x, 0, x + 1)]
+
+
+def _assert_built_alike(parsed, expected):
+    # the parse path skips _Triple.__init__, so check what it stores, not
+    # only what == compares
+    assert parsed == expected
+    assert repr(parsed._r) == repr(expected._r)
+    assert parsed.sort_key() == expected.sort_key()
+    assert type(parsed.field) is type(expected.field)
+
+
+@_QUIET
+@pytest.mark.parametrize("descriptor", _PARSE_FIELDS.values(), ids=_PARSE_FIELDS)
+def test_coords_render_parse_round_trip(descriptor):
+    k = parse_field(descriptor)
     # Q(sqrt 2) embeds in R, so the flags row carries real
-    k = parse_field("EXT Q [-2,0,1]")
-    root = k.gen()
-    arr = CoordArrangement([ProjLine(k, (1, 0, 0)), ProjLine(k, (0, 1, 0)),
-                            ProjLine(k, (1, root, -1)), ProjLine(k, (root, Fraction(1, 2), 3))],
-                           real=True)
-    text = render_coords(arr, ["over Q(sqrt 2)"])
-    assert text.splitlines()[0] == "field EXT Q [-2,0,1]"
-    assert text.splitlines()[-2:] == ["flags real", "note over Q(sqrt 2)"]
+    real = descriptor == "EXT Q [-2,0,1]"
+    arr = CoordArrangement([ProjLine(k, c) for c in _sample_triples(k)], real=real)
+    text = render_coords(arr, ["a note"])
+    rows = text.splitlines()
+    assert rows[0] == f"field {descriptor}"
+    if real:
+        assert rows[-2:] == ["flags real", "note a note"]
+    else:
+        assert rows[-1] == "note a note" and "flags real" not in rows
     back = parse_input(text)
     assert back.kind == "coordinates"
-    assert back.notes == ["over Q(sqrt 2)"]
-    assert back.arrangement.real
-    assert back.arrangement.lines == arr.lines
+    assert back.notes == ["a note"]
+    assert back.arrangement.real == (real or descriptor == "Q")
+    assert len(back.arrangement.lines) == len(arr.lines)
+    for parsed, expected in zip(back.arrangement.lines, arr.lines):
+        _assert_built_alike(parsed, expected)
+
+
+@_QUIET
+@pytest.mark.parametrize("descriptor", _PARSE_FIELDS.values(), ids=_PARSE_FIELDS)
+def test_points_file_parses_as_the_public_constructor_builds(descriptor):
+    # the literals are written as given, not scaled to a leftmost one, so
+    # the parse path's _canonical does the scaling
+    k = parse_field(descriptor)
+    triples = _sample_triples(k)
+    text = f"field {descriptor}\n" + "".join(
+        "point " + " ".join(k.format_rep(k.element(c).value) for c in t) + "\n"
+        for t in triples)
+    back = parse_input(text)
+    assert back.kind == "points"
+    assert len(back.points) == len(triples)
+    for parsed, t in zip(back.points, triples):
+        _assert_built_alike(parsed, ProjPoint(k, t))
+
+
+_ONE_CONVERSION_FIELDS = {
+    "q": ("Q", "3/2"), "gf7": ("GF 7", "3"), "zech-gf9": ("EXT (GF 3) [1,0,1]", "[0,1]"),
+    "cyclo12": ("EXT Q [1,0,-1,0,1]", "[1/2,1]"),
+}
+
+
+@_QUIET
+@pytest.mark.parametrize("descriptor, a", _ONE_CONVERSION_FIELDS.values(),
+                         ids=_ONE_CONVERSION_FIELDS)
+def test_parsing_converts_each_literal_once(descriptor, a, monkeypatch):
+    # parse_rep already gives the field's reps, so more rows must not make
+    # more calls of the field class's own _coerce_rep; the field row's own
+    # calls (such as Rabin's gen() over GF(3)) are the same in both files
+    cls = type(parse_field(descriptor))
+    coerce, calls = cls._coerce_rep, []
+
+    def spy(self, v):
+        calls.append(v)
+        return coerce(self, v)
+
+    monkeypatch.setattr(cls, "_coerce_rep", spy)
+    rows = ["line 1 0 0", "line 0 1 0", "line 0 0 1", "line 1 1 1",
+            f"line {a} 1 0", f"line 0 {a} 1"]
+    counts = []
+    for n in (2, 6):
+        calls.clear()
+        assert parse_input("\n".join([f"field {descriptor}", *rows[:n]])).arrangement.d == n
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
