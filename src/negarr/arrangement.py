@@ -280,11 +280,9 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
             members.add(j)
             found_on[j].append(members)
     field = arr.field
-    key = field._triple_key
-    ordered = sorted(acc.items(), key=lambda kv: key(kv[0]))
     return IncidenceStructure(
         range(arr.d),
-        ((ProjPoint._of_canonical(field, r), members) for r, members in ordered),
+        ((ProjPoint._of_canonical(field, r), acc[r]) for r in sorted(acc, key=field._triple_key)),
         complete=True,
         real=arr.real,
         field_order=field.order,

@@ -590,6 +590,7 @@ class ExtensionField(Field):
             raise ValueError("modulus must be monic")
         self.modulus = coeffs
         self.degree = len(coeffs) - 1
+        self._zero = (base._coerce_rep(0),) * self.degree
         unverified = None  # what is left unproven about the modulus
         if assume_irreducible:
             pass
@@ -613,7 +614,7 @@ class ExtensionField(Field):
 
     def _pad(self, coeffs):
         """The rep of at most degree coefficients."""
-        return (*coeffs, *itertools.repeat(self.base._coerce_rep(0), self.degree - len(coeffs)))
+        return (*coeffs, *self._zero[len(coeffs):])
 
     def _reduce(self, coeffs):
         return self._pad(_pdivmod(self.base, coeffs, self.modulus)[1])
@@ -628,10 +629,7 @@ class ExtensionField(Field):
         if isinstance(v, (int, Fraction)):
             return self._pad([self.base._coerce_rep(v)])
         if isinstance(v, (list, tuple)):
-            reps = [self.base._coerce_rep(c) for c in v]
-            if len(reps) > self.degree:
-                return self._reduce(reps)
-            return self._pad(reps)
+            return self._reduce([self.base._coerce_rep(c) for c in v])
         raise TypeError(f"cannot interpret {v!r} as an element of {self}")
 
     def gen(self) -> FieldElement:
@@ -660,7 +658,7 @@ class ExtensionField(Field):
         return self._pad([self.base._mul(c, scale) for c in u])
 
     def _is_zero(self, a):
-        return all(self.base._is_zero(c) for c in a)
+        return a == self._zero
 
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
@@ -766,10 +764,10 @@ class _ZechField(ExtensionField):
         else:  # the multiplicative group of a field is cyclic
             raise InternalInconsistency(f"{self} has no element of order {n}")
         self._zn, self._zh = n, n // 2 if p > 2 else 0
-        self._zone, self._zzero = one, (0,) * k
+        self._zone = one
         self._zlog = {r: e for e, r in enumerate(powers)}
-        self._zlog[self._zzero] = 3 * n
-        self._zrep = powers + [None] * (2 * n) + [self._zzero]  # no log falls in [n, 3n)
+        self._zlog[self._zero] = 3 * n
+        self._zrep = powers + [None] * (2 * n) + [self._zero]  # no log falls in [n, 3n)
         self._zwrap = [s % n for s in range(3 * n)] + [3 * n] * (4 * n)
         self._zech = [self._zlog[((r[0] + 1) % p,) + r[1:]] for r in powers]
 
@@ -788,9 +786,9 @@ class _ZechField(ExtensionField):
         if x != 3 * n:
             return (self._zone, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
         if y != 3 * n:
-            return (self._zzero, self._zone, rep[wrap[z + n - y]])
+            return (self._zero, self._zone, rep[wrap[z + n - y]])
         if z != 3 * n:
-            return (self._zzero, self._zzero, self._zone)
+            return (self._zero, self._zero, self._zone)
         raise ValueError("projective triple must have a nonzero coordinate")
 
     def _canonical(self, reps):

@@ -520,10 +520,32 @@ def _differential_inputs():
     out["quasipencil"] = gen_quasi_pencil(7)
     for q in (2, 3, 4, 5, 7, 8):
         out[f"pg2-{q}"] = gen_finite_field_full(q)
+    # the generic ExtensionField hooks: an order above ZECH_MAX_ORDER, a
+    # modulus over Q that is not integral (whose pool also orders Q entries
+    # by (numerator, denominator), not by value), and a tower
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        generic = {"generic-gf289": parse_field("EXT (GF 17) [3,0,1]"),
+                   "generic-q-half": parse_field("EXT Q [-1/2,0,1]"),
+                   "generic-tower16": ExtensionField(gf4, [gf4.gen().value, [1], [1]])}
+    for name, field in generic.items():
+        g = field.gen()
+        pool = [field.zero, field.one, -field.one, g, g + 1]
+        if name == "generic-q-half":
+            pool += [Fraction(1, 2), Fraction(1, 3), g / 3]
+        out[name] = _random_arrangement(rng, field, 12, lambda: rng.choice(pool))
     return out
 
 
 _DIFFERENTIAL = _differential_inputs()
+
+
+@pytest.mark.parametrize("name", [n for n in _DIFFERENTIAL if n.startswith("generic-")])
+def test_generic_extension_inputs_meet_on_the_generic_hooks(name):
+    arr = _DIFFERENTIAL[name]
+    assert type(arr.field) is ExtensionField
+    assert max(len(members) for _, members in _reference_points(arr)) > 2
 
 
 @pytest.mark.parametrize("arr", _DIFFERENTIAL.values(), ids=_DIFFERENTIAL)

@@ -18,6 +18,7 @@ from negarr.fields import (
     ZECH_MAX_ORDER,
     ExtensionField,
     Field,
+    FieldElement,
     PrimeField,
     RationalField,
     compare_with_surd_mean,
@@ -517,6 +518,48 @@ def test_polynomial_division_and_inverse_properties(field):
         assert g == _trimmed(field, g) and u == _trimmed(field, u)
         assert _pdivmod(field, _pmul(field, u, n), d)[1] == _pdivmod(field, g, d)[1]
         assert _pdivmod(field, n, g)[1] == _pdivmod(field, d, g)[1] == []
+
+
+
+def _extension_paths():
+    """One extension field per class of meet path, and both generic ones."""
+    gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnvalidatedModulusWarning)
+        return {
+            "zech-gf9": (parse_field("EXT (GF 3) [1,0,1]"), _ZechField),
+            "cyclo12": (cyclotomic_field(12), _IntegralField),
+            "generic-gf289": (parse_field("EXT (GF 17) [3,0,1]"), ExtensionField),
+            "q-half": (parse_field("EXT Q [-1/2,0,1]"), ExtensionField),
+            "tower-gf16": (ExtensionField(gf4, [gf4.gen().value, [1], [1]]), ExtensionField),
+        }
+
+
+_EXTENSION_PATHS = _extension_paths()
+
+
+@pytest.mark.parametrize("field, cls", _EXTENSION_PATHS.values(), ids=_EXTENSION_PATHS)
+def test_vector_coercion_and_zero_test_agree(field, cls):
+    # every vector reaches a rep through _reduce, whatever its length, and
+    # _is_zero reads the one zero rep the field keeps
+    assert type(field) is cls
+    base, x, rng = field.base, field.gen(), random.Random(2026)
+    base_zero = base._coerce_rep(0)
+    for length in range(2 * field.degree + 1):
+        for _ in range(12):
+            v = [base_zero if rng.random() < 0.3 else _random_element(base, rng).value
+                 for _ in range(length)]
+            rep = field._coerce_rep(v)
+            expected = field.zero
+            for i, c in enumerate(v):
+                expected = expected + field.element(FieldElement(base, c)) * x ** i
+            assert rep == expected.value and len(rep) == field.degree
+            if length <= field.degree:
+                assert rep == tuple(v) + (base_zero,) * (field.degree - length)
+            a = _random_element(field, rng)
+            for r in (rep, (a - a).value, a.value):
+                assert field._is_zero(r) == all(base._is_zero(c) for c in r)
+    assert field._is_zero(field._coerce_rep([]))
 
 
 def test_field_descriptions():
