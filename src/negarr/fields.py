@@ -189,11 +189,11 @@ class Field:
 
     @property
     def zero(self) -> FieldElement:
-        return self.element(0)
+        return FieldElement(self, self._zero)
 
     @property
     def one(self) -> FieldElement:
-        return self.element(1)
+        return FieldElement(self, self._one)
 
     @property
     def order(self):
@@ -204,7 +204,7 @@ class Field:
         raise NotImplementedError("field is not finite")
 
     def _is_zero(self, a):
-        return a == 0
+        return a == self._zero
 
     def _canonical(self, reps):
         """The stored form of a triple of reps: by default, scaled so that its
@@ -250,17 +250,17 @@ class Field:
     def sort_key_rep(self, a):
         return a
 
-    # subclasses: _coerce_rep, _add, _sub (negation is _sub from the zero
-    # rep), _mul, _inv, parse_rep (the inverse of format_rep), describe (first
-    # read through key, so it may use anything __init__ sets), and
-    # sort_key_rep when the key is not the rep itself.  Each meet path is one
-    # class, which overrides _canonical and _cross on its own arithmetic (Q
-    # and GF(p) on ints, _ZechField on logs, _IntegralField fraction-free;
-    # plain ExtensionField keeps these bodies); a class that stores triples in
-    # another form than _canonical's default (Q and _IntegralField, as int
-    # vectors) also overrides _affine and _triple_key.  GF(p), _ZechField and
-    # _IntegralField count _incidences on their own arithmetic; Q runs the
-    # body here on its stored ints
+    # subclasses: _zero and _one (each rep built once), _coerce_rep, _add, _sub
+    # (negation is _sub from _zero), _mul, _inv, parse_rep (the inverse of
+    # format_rep), describe (first read through key, so it may use anything
+    # __init__ sets), and sort_key_rep when the key is not the rep itself.
+    # Each meet path is one class, which overrides _canonical and _cross on its
+    # own arithmetic (Q and GF(p) on ints, _ZechField on logs, _IntegralField
+    # fraction-free; plain ExtensionField keeps these bodies); a class that
+    # stores triples in another form than _canonical's default (Q and
+    # _IntegralField, as int vectors) also overrides _affine and _triple_key.
+    # GF(p), _ZechField and _IntegralField count _incidences on their own
+    # arithmetic; Q runs the body here on its stored ints
 
 
 def _integral(values):
@@ -288,6 +288,8 @@ class RationalField(Field):
     _primitive), so meets, sort keys and the generic incidence count run on
     plain ints; _affine gives the Fraction view with a leftmost one.
     """
+
+    _zero, _one = Fraction(0), Fraction(1)
 
     def _coerce_rep(self, v):
         if isinstance(v, FieldElement):
@@ -347,6 +349,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """GF(p) for prime p, represented as reduced residues."""
+
+    _zero, _one = 0, 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -433,7 +437,7 @@ def _ptrim(field, c):
 
 
 def _pmul(field, a, b):
-    out = [field._coerce_rep(0)] * (len(a) + len(b) - 1)
+    out = [field._zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if field._is_zero(ai):
             continue
@@ -465,8 +469,8 @@ def _pinv_mod(field, a, modulus):
     """(g, u) with u * a = g modulo the polynomial and g = gcd(a, modulus);
     the one Euclid, which inverses and gcds both read."""
     old_r, r = _ptrim(field, list(a)), _ptrim(field, list(modulus))
-    old_u, u = [field._coerce_rep(1)], []
-    zero, mul, sub = field._coerce_rep(0), field._mul, field._sub
+    old_u, u = [field._one], []
+    zero, mul, sub = field._zero, field._mul, field._sub
     while r:
         q, rem = _pdivmod(field, old_r, r)
         old_r, r = r, rem
@@ -586,11 +590,12 @@ class ExtensionField(Field):
         coeffs = tuple(base._coerce_rep(c) for c in modulus)
         if len(coeffs) < 3:
             raise ValueError("modulus degree must be at least 2")
-        if coeffs[-1] != base._coerce_rep(1):
+        if coeffs[-1] != base._one:
             raise ValueError("modulus must be monic")
         self.modulus = coeffs
         self.degree = len(coeffs) - 1
-        self._zero = (base._coerce_rep(0),) * self.degree
+        self._zero = (base._zero,) * self.degree
+        self._one = self._pad([base._one])
         unverified = None  # what is left unproven about the modulus
         if assume_irreducible:
             pass
@@ -656,9 +661,6 @@ class ExtensionField(Field):
                               "with an element; modulus is reducible")
         scale = self.base._inv(g[0])
         return self._pad([self.base._mul(c, scale) for c in u])
-
-    def _is_zero(self, a):
-        return a == self._zero
 
     def format_rep(self, a):
         return "[" + ",".join(self.base.format_rep(c) for c in a) + "]"
@@ -747,8 +749,7 @@ class _ZechField(ExtensionField):
     def __init__(self, base, modulus, *, assume_irreducible=False):
         super().__init__(base, modulus, assume_irreducible=assume_irreducible)
         p, k = base.p, self.degree
-        f, n = list(self.modulus), p ** k - 1
-        one = (1,) + (0,) * (k - 1)
+        f, n, one = list(self.modulus), p ** k - 1, self._one
         for g in itertools.product(range(p), repeat=k):
             if not any(g[1:]):
                 continue  # a constant has order dividing p - 1 < n
@@ -764,7 +765,6 @@ class _ZechField(ExtensionField):
         else:  # the multiplicative group of a field is cyclic
             raise InternalInconsistency(f"{self} has no element of order {n}")
         self._zn, self._zh = n, n // 2 if p > 2 else 0
-        self._zone = one
         self._zlog = {r: e for e, r in enumerate(powers)}
         self._zlog[self._zero] = 3 * n
         self._zrep = powers + [None] * (2 * n) + [self._zero]  # no log falls in [n, 3n)
@@ -784,11 +784,11 @@ class _ZechField(ExtensionField):
         """The reps of the triple of logs scaled to a leftmost one."""
         n, wrap, rep = self._zn, self._zwrap, self._zrep
         if x != 3 * n:
-            return (self._zone, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
+            return (self._one, rep[wrap[y + n - x]], rep[wrap[z + n - x]])
         if y != 3 * n:
-            return (self._zero, self._zone, rep[wrap[z + n - y]])
+            return (self._zero, self._one, rep[wrap[z + n - y]])
         if z != 3 * n:
-            return (self._zero, self._zero, self._zone)
+            return (self._zero, self._zero, self._one)
         raise ValueError("projective triple must have a nonzero coordinate")
 
     def _canonical(self, reps):

@@ -158,6 +158,7 @@ def test_real_flag_is_a_plain_bool_forced_over_q():
     gf5 = PrimeField(5)
     lines = [ProjLine(gf5, (1, 0, 0)), ProjLine(gf5, (0, 1, 0))]
     assert CoordArrangement(lines).real is False
+    assert repr(CoordArrangement(lines)) == "CoordArrangement(d=2, field=GF(5), real=False)"
     with pytest.raises(ValueError, match=r"^lines over the finite field GF\(5\) cannot be real$"):
         CoordArrangement(lines, real=1)
 
@@ -201,6 +202,7 @@ def test_restrict_to_singular():
     pts = PointSet([ProjPoint(Q, (0, 0, 1)), ProjPoint(Q, (1, 1, 1))])
     kept = restrict_to_singular(pts, arr)
     assert list(kept) == [ProjPoint(Q, (0, 0, 1))]
+    assert kept.field is Q and repr(kept) == "PointSet([[0:0:1]])"
     with pytest.raises(EmptyResult):
         restrict_to_singular(PointSet([ProjPoint(Q, (1, 1, 1))]), arr)
 
@@ -232,6 +234,8 @@ def test_spectrum_validation():
     # zero counts are dropped, not stored
     sp = Spectrum(9, {3: 12, 5: 0})
     assert sp.t == {3: 12}
+    assert sp == Spectrum(9, {3: 12}) and hash(sp) == hash(Spectrum(9, {3: 12}))
+    assert repr(sp) == "Spectrum(d=9, t={3: 12}, real=False)"
 
 
 def test_incidence_structure_validation():
@@ -243,7 +247,8 @@ def test_incidence_structure_validation():
     with pytest.raises(IdentityViolation):
         IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=True)
     ok = IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=False)
-    assert ok.multiplicities() == [2]
+    assert ok.multiplicities() == [2] and (ok.d, ok.s) == (3, 1)
+    assert repr(ok) == "IncidenceStructure(d=3, s=1, complete=False)"
     # a complete structure is a singular locus: no point on fewer than two lines
     with pytest.raises(ValueError, match="^a complete incidence structure holds only points"):
         IncidenceStructure((0, 1), [("p", frozenset({0, 1})), ("q", frozenset({0}))],

@@ -97,6 +97,9 @@ def test_pow_and_bool():
     assert a ** -2 == (a * a) ** -1
     assert bool(gf7.zero) is False
     assert bool(a) is True
+    # a float exponent is refused before the loop reads it
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*\* or pow\(\)"):
+        Q.element(2) ** 0.5
 
 
 def test_division_by_zero():
@@ -138,10 +141,12 @@ def test_operators_share_one_operand_rule(a):
 
 def test_coerce_rep_rejects_foreign_values():
     gf7, gf9 = _OPERANDS["GF7"].field, _OPERANDS["GF9"].field
-    for field, foreign in ((gf7, Q.one), (gf9, gf7.one)):
+    for field, foreign, noun in ((Q, PrimeField(3).one, "a rational"),
+                                 (gf7, Q.one, f"an element of {gf7}"),
+                                 (gf9, gf7.one, f"an element of {gf9}")):
         for value, error, message in (
                 (foreign, NegarrError, f"cannot place 1 of {foreign.field} into {field}"),
-                ("x", TypeError, f"cannot interpret 'x' as an element of {field}")):
+                ("1", TypeError, f"cannot interpret '1' as {noun}")):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 field.element(value)
 
@@ -178,6 +183,11 @@ def test_int_and_fraction_coercion():
     assert gf7.element(3) + 5 == gf7.element(1)
     # Fraction coerces through modular inverse of the denominator
     assert gf7.element(1) / gf7.element(2) == Fraction(1, 2)
+    # equality reads a value that does not coerce as unequal, and leaves
+    # any other type to the other operand
+    gf3 = PrimeField(3)
+    assert (gf3.element(1) == Fraction(1, 3)) is False
+    assert (gf3.element(1) == "1") is False
 
 
 def test_is_prime():
@@ -279,6 +289,8 @@ def test_prime_field_iteration_and_order():
     assert gf5.order == 5
     assert sorted(e.value for e in gf5.iter_elements()) == [0, 1, 2, 3, 4]
     assert Q.order is None
+    with pytest.raises(NotImplementedError, match="^field is not finite$"):
+        list(Q.iter_elements())
 
 
 def test_cyclotomic_polynomials_frozen():
@@ -484,13 +496,13 @@ def _trimmed(field, c):
 
 
 def _poly_sum(field, a, b):
-    pairs = itertools.zip_longest(a, b, fillvalue=field._coerce_rep(0))
+    pairs = itertools.zip_longest(a, b, fillvalue=field._zero)
     return _trimmed(field, [field._add(x, y) for x, y in pairs])
 
 
 def _random_poly(field, rng):
     """Up to six random coefficients, then up to two trailing zeros."""
-    zero = field._coerce_rep(0)
+    zero = field._zero
     return ([_random_element(field, rng).value for _ in range(rng.randint(0, 6))]
             + [zero] * rng.randint(0, 2))
 
@@ -544,7 +556,7 @@ def test_vector_coercion_and_zero_test_agree(field, cls):
     # _is_zero reads the one zero rep the field keeps
     assert type(field) is cls
     base, x, rng = field.base, field.gen(), random.Random(2026)
-    base_zero = base._coerce_rep(0)
+    base_zero = base._zero
     for length in range(2 * field.degree + 1):
         for _ in range(12):
             v = [base_zero if rng.random() < 0.3 else _random_element(base, rng).value
@@ -560,6 +572,46 @@ def test_vector_coercion_and_zero_test_agree(field, cls):
             for r in (rep, (a - a).value, a.value):
                 assert field._is_zero(r) == all(base._is_zero(c) for c in r)
     assert field._is_zero(field._coerce_rep([]))
+
+
+# Q, GF(7) and the extension fields above
+_CONSTANT_FIELDS = {"q": (Q, RationalField), "gf7": (PrimeField(7), PrimeField),
+                    **_EXTENSION_PATHS}
+
+
+@pytest.mark.parametrize("field, cls", _CONSTANT_FIELDS.values(), ids=_CONSTANT_FIELDS)
+def test_every_field_keeps_its_zero_and_one(field, cls):
+    # zero and one wrap the reps the field built once, and the one _is_zero
+    # body compares with that zero; over an extension it agrees with the
+    # base's test entry by entry
+    assert type(field) is cls
+    assert field.zero == field.element(0) and field.one == field.element(1)
+    assert field.zero.value is field._zero and field.one.value is field._one
+    rng = random.Random(32)
+    samples = [_random_element(field, rng) for _ in range(20)]
+    for r in [field._zero, field._one, *(a.value for a in samples),
+              *((a - a).value for a in samples)]:
+        if isinstance(field, ExtensionField):
+            expected = all(field.base._is_zero(c) for c in r)
+        else:
+            expected = r == 0
+        assert field._is_zero(r) is expected
+
+
+@pytest.mark.parametrize("name", ["generic-gf289", "q-half", "tower-gf16"])
+def test_generic_products_and_inverses_coerce_no_base_constant(name, monkeypatch):
+    # _pmul and _pinv_mod read the base's _zero and _one
+    field = _EXTENSION_PATHS[name][0]
+    assert type(field) is ExtensionField
+    a, b = field.gen() + 2, field.gen() * 3 + 1
+    calls, coerce = [], type(field.base)._coerce_rep
+    monkeypatch.setattr(type(field.base), "_coerce_rep",
+                        lambda self, v: calls.append(v) or coerce(self, v))
+    product = a * b
+    assert calls == []
+    inverse = a.inverse()
+    assert calls == []
+    assert product / b == a and inverse * a == field.one
 
 
 def test_field_descriptions():

@@ -34,6 +34,8 @@ def test_canonical_scaling():
 def test_zero_triple_rejected():
     with pytest.raises(ValueError):
         ProjPoint(Q, (0, 0, 0))
+    with pytest.raises(ValueError, match="^expected exactly three homogeneous coordinates$"):
+        ProjPoint(Q, (1, 2))
 
 
 def test_point_and_line_hash_disjoint():

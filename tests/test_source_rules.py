@@ -10,6 +10,9 @@ on one parse of each file.
   and flags, so no setting may come from the caller's environment.
 - The standard library only: every absolute import names a standard-library
   module (relative imports stay inside the package).
+- No field constant rebuilt: no call passes a literal 0 or 1 to
+  _coerce_rep or element, since every field keeps its zero and one reps
+  (_zero and _one, each built once) and every body that needs one reads it.
 - No shadowed definition, in src/negarr or in tests/: a module, class or
   function body defines each function or class name once, since Python keeps
   only the last definition (a shadowed test never runs).
@@ -86,6 +89,22 @@ def test_no_environment_reads():
 def test_standard_library_imports_only():
     assert [f"{path}:{node.lineno}: {name}" for path, node in _nodes()
             for name in _outside_stdlib(node)] == []
+
+
+def _rebuilds_a_constant(node):
+    """Whether node is a call of _coerce_rep or element on a literal 0 or 1."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("_coerce_rep", "element") and any(
+        isinstance(a, ast.Constant) and type(a.value) is int and a.value in (0, 1)
+        for a in node.args)
+
+
+def test_no_field_constant_rebuilt():
+    assert [f"{path}:{node.lineno}" for path, node in _nodes()
+            if _rebuilds_a_constant(node)] == []
 
 
 _DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
