@@ -261,24 +261,38 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     Line i meets only the later lines that no point already found on it
     holds: a point of multiplicity m is met m - 1 times, from its first
     line, and its member set is complete before any later line is walked.
+    The walk keeps, per line, an int mask covered (bit k for line k): the
+    OR of the member masks of the points found on it.  Line i meets the
+    later lines outside that mask, lowest bit first, so the loop runs once
+    per meet, not once per later line.  Once line i is walked, each point
+    first found on it is complete, and its mask goes into covered of its
+    members between the first and the last, the only lines it can cover;
+    a double point covers none.
     """
     if arr.d < 2:
         raise NegarrError("need at least two lines to intersect")
-    acc: dict[tuple, set[int]] = {}  # stored reps of each point: its members
+    acc: dict[tuple, list[int]] = {}  # stored reps of each point: its members, ascending
     lines = arr.lines
-    found_on = [[] for _ in lines]  # member sets of the points found on each line
+    covered = [0] * len(lines)
+    later = (1 << len(lines)) - 1  # the lines after line i
     for i, line in enumerate(lines):
-        covered = set().union(*found_on[i])
-        fresh = {i}  # the member set of the next new point: one hash per meet
-        for j in range(i + 1, len(lines)):
-            if j in covered:
-                continue
+        later ^= 1 << i
+        free = later & ~covered[i]
+        found, fresh = [], [i]  # fresh: the next new point, so one hash per meet
+        while free:
+            bit = free & -free
+            free ^= bit
+            j = bit.bit_length() - 1
             members = acc.setdefault(meet(line, lines[j])._r, fresh)
             if members is fresh:
-                found_on[i].append(members)
-                fresh = {i}
-            members.add(j)
-            found_on[j].append(members)
+                found.append(members)
+                fresh = [i]
+            members.append(j)
+        for members in found:
+            if len(members) > 2:
+                mask = sum(1 << k for k in members)
+                for k in members[1:-1]:
+                    covered[k] |= mask
     field = arr.field
     return IncidenceStructure(
         range(arr.d),

@@ -259,8 +259,8 @@ class Field:
     # fraction-free; plain ExtensionField keeps these bodies); a class that
     # stores triples in another form than _canonical's default (Q and
     # _IntegralField, as int vectors) also overrides _affine and _triple_key.
-    # GF(p), _ZechField and _IntegralField count _incidences on their own
-    # arithmetic; Q runs the body here on its stored ints
+    # Q, GF(p), _ZechField and _IntegralField count _incidences on their own
+    # arithmetic (Q and GF(p) on their stored ints)
 
 
 def _integral(values):
@@ -285,8 +285,8 @@ class RationalField(Field):
     """The rational numbers, represented as Fraction values.
 
     A projective triple over Q is stored as its primitive int triple (see
-    _primitive), so meets, sort keys and the generic incidence count run on
-    plain ints; _affine gives the Fraction view with a leftmost one.
+    _primitive), so meets, sort keys and incidence counts run on plain ints;
+    _affine gives the Fraction view with a leftmost one.
     """
 
     _zero, _one = Fraction(0), Fraction(1)
@@ -320,6 +320,10 @@ class RationalField(Field):
     def _cross(self, u, v):
         (a1, b1, c1), (a2, b2, c2) = u, v
         return _primitive(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
+
+    def _incidences(self, points, lines):
+        return [sum(1 for a, b, c in lines if not a * x + b * y + c * z)
+                for x, y, z in points]
 
     def _affine(self, reps):
         pivot = reps[0] or reps[1] or reps[2]

@@ -84,7 +84,10 @@ def _cross(u: _Triple, v: _Triple, noun: str, result):
         raise NegarrError(f"{noun} live over {field} and {v.field}")
     if u._r == v._r:
         raise NegarrError(f"{noun} coincide: {u!r}")
-    return result._of_canonical(field, field._cross(u._r, v._r))
+    out = object.__new__(result)
+    out.field = field
+    out._r = field._cross(u._r, v._r)
+    return out
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:

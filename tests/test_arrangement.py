@@ -540,6 +540,12 @@ def _differential_inputs():
         if name == "generic-q-half":
             pool += [Fraction(1, 2), Fraction(1, 3), g / 3]
         out[name] = _random_arrangement(rng, field, 12, lambda: rng.choice(pool))
+    # shuffled three-quarter subsets of dense planes (GF(7) residues, Zech
+    # GF(8) and GF(9)): each line has some later lines covered by the points
+    # found on it and others free, as in the benchmark's locus inputs
+    for q in (7, 8, 9):
+        lines = gen_finite_field_full(q).lines
+        out[f"pg2-{q}-part"] = CoordArrangement(rng.sample(lines, 3 * len(lines) // 4))
     return out
 
 
@@ -565,12 +571,22 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
         return cross(field, u, v)
 
     monkeypatch.setattr(field_class, "_cross", counted)
+    # and through negarr.arrangement.meet, which the benchmark's traced meet
+    # count reads; drop this count once singular_points calls the field's
+    # _cross directly (ROADMAP item 17 step 1)
+    meet, met = negarr.arrangement.meet, []
+
+    def counted_meet(l1, l2):
+        met.append((l1, l2))
+        return meet(l1, l2)
+
+    monkeypatch.setattr(negarr.arrangement, "meet", counted_meet)
     inc = singular_points(arr)
     reference = _reference_points(arr)
     assert [(p.coords, members) for p, members in inc.points] == list(reference)
     assert [repr(p) for p, _ in inc.points] == [
         "[" + ":".join(map(repr, coords)) + "]" for coords, _ in reference]
-    assert len(calls) == sum(len(members) - 1 for _, members in reference)
+    assert len(met) == len(calls) == sum(len(members) - 1 for _, members in reference)
     # each stored point is the canonical form of its own coordinates
     for p, _ in inc.points:
         again = ProjPoint(arr.field, p.coords)

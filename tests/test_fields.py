@@ -899,7 +899,7 @@ def test_triple_keys_sort_as_the_per_entry_keys(field):
 
 def test_rational_incidences_on_ints_match_fraction_views():
     """Q and each integral Q[x]/(f) count incidences on their stored int
-    triples (Q through the generic Field body, Q[x]/(f) in Z[x]/(f)); the
+    triples (Q on int sums, Q[x]/(f) in Z[x]/(f)); the
     counts equal those of the generic body on the pivot-one Fraction
     views."""
     rng = random.Random(13)
