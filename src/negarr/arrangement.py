@@ -12,7 +12,7 @@ from math import comb
 
 from .errors import EmptyResult, IdentityViolation, NegarrError
 from .fields import RationalField, prime_power
-from .projective import ProjPoint, meet
+from .projective import ProjPoint
 
 KEEP_ORIGINAL_POINTS = "keep_original_points"
 RESTRICT_TO_NEW_SINGULAR = "restrict_to_new_singular"
@@ -250,13 +250,22 @@ class Spectrum:
 abstract_spectrum = Spectrum
 
 
+def meet(l1, l2):
+    """The stored reps of the point where two lines of one CoordArrangement
+    meet: the walk's per-meet hook, not the public negarr.meet.  The
+    arrangement has already checked that its lines share one field and are
+    pairwise distinct, so this repeats neither check and builds no
+    ProjPoint."""
+    return l1.field._cross(l1._r, l2._r)
+
+
 def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     """All points where at least two lines of the arrangement meet.
 
-    Deduplication is exact via the stored canonical reps, which key the
-    walk; member sets accumulate from the meets, so a point's multiplicity is
-    the number of lines through it.  A pencil yields a single point of
-    multiplicity d.
+    Deduplication is exact via the stored canonical reps that meet returns,
+    which key the walk; member sets accumulate from the meets, so a point's
+    multiplicity is the number of lines through it.  A pencil yields a
+    single point of multiplicity d.
 
     Line i meets only the later lines that no point already found on it
     holds: a point of multiplicity m is met m - 1 times, from its first
@@ -283,7 +292,7 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
             bit = free & -free
             free ^= bit
             j = bit.bit_length() - 1
-            members = acc.setdefault(meet(line, lines[j])._r, fresh)
+            members = acc.setdefault(meet(line, lines[j]), fresh)
             if members is fresh:
                 found.append(members)
                 fresh = [i]

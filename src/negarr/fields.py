@@ -258,7 +258,9 @@ class Field:
     # own arithmetic (Q and GF(p) on ints, _ZechField on logs, _IntegralField
     # fraction-free; plain ExtensionField keeps these bodies); a class that
     # stores triples in another form than _canonical's default (Q and
-    # _IntegralField, as int vectors) also overrides _affine and _triple_key.
+    # _IntegralField, as int vectors) also overrides _affine and _triple_key,
+    # and GF(p) and _ZechField, whose stored triple equals its generic key,
+    # return it as the key.
     # Q, GF(p), _ZechField and _IntegralField count _incidences on their own
     # arithmetic (Q and GF(p) on their stored ints)
 
@@ -411,6 +413,10 @@ class PrimeField(Field):
         p = self.p
         return [sum(1 for a, b, c in lines if not (a * x + b * y + c * z) % p)
                 for x, y, z in points]
+
+    def _triple_key(self, reps):
+        # the stored residues, already the generic key
+        return reps
 
     def parse_rep(self, token):
         return int(token) % self.p
@@ -818,6 +824,10 @@ class _ZechField(ExtensionField):
             counts.append(sum(1 for a, b, c in lines
                               if minus(wrap[a + x], wrap[b + y]) == wrap[c + z]))
         return counts
+
+    def _triple_key(self, reps):
+        # the stored tuples of residues, already the generic key
+        return reps
 
 
 class _IntegralField(ExtensionField):

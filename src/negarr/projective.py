@@ -84,10 +84,7 @@ def _cross(u: _Triple, v: _Triple, noun: str, result):
         raise NegarrError(f"{noun} live over {field} and {v.field}")
     if u._r == v._r:
         raise NegarrError(f"{noun} coincide: {u!r}")
-    out = object.__new__(result)
-    out.field = field
-    out._r = field._cross(u._r, v._r)
-    return out
+    return result._of_canonical(field, field._cross(u._r, v._r))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:

@@ -571,9 +571,10 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
         return cross(field, u, v)
 
     monkeypatch.setattr(field_class, "_cross", counted)
-    # and through negarr.arrangement.meet, which the benchmark's traced meet
-    # count reads; drop this count once singular_points calls the field's
-    # _cross directly (ROADMAP item 17 step 1)
+    # and through negarr.arrangement.meet, the walk's per-meet hook: the
+    # benchmark's traced meet count reads its calls, so the walk makes one
+    # per meet until that count moves to the field's _cross hook (ROADMAP
+    # item 1)
     meet, met = negarr.arrangement.meet, []
 
     def counted_meet(l1, l2):
@@ -581,12 +582,24 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
         return meet(l1, l2)
 
     monkeypatch.setattr(negarr.arrangement, "meet", counted_meet)
+    # the hook meets on stored reps, never through the checked public meet
+    public_cross, checked = negarr.projective._cross, []
+
+    def counted_cross(*args):
+        checked.append(args)
+        return public_cross(*args)
+
+    monkeypatch.setattr(negarr.projective, "_cross", counted_cross)
     inc = singular_points(arr)
+    assert checked == []
     reference = _reference_points(arr)
     assert [(p.coords, members) for p, members in inc.points] == list(reference)
     assert [repr(p) for p, _ in inc.points] == [
         "[" + ":".join(map(repr, coords)) + "]" for coords, _ in reference]
     assert len(met) == len(calls) == sum(len(members) - 1 for _, members in reference)
+    # the hook returns the stored reps of the public meet's point
+    for l1, l2 in itertools.islice(itertools.combinations(arr.lines, 2), 5):
+        assert meet(l1, l2) == negarr.meet(l1, l2)._r
     # each stored point is the canonical form of its own coordinates
     for p, _ in inc.points:
         again = ProjPoint(arr.field, p.coords)
