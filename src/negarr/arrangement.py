@@ -119,27 +119,25 @@ class IncidenceStructure:
             raise ValueError("line labels must be distinct")
         if not labels:
             raise ValueError("at least one line required")
-        # one pass; twice_pairs sums m(m - 1), twice the pair count
-        pts, on_line, twice_pairs, short = [], {lab: [] for lab in labels}, 0, False
+        # one pass; each member set is frozen as its point is read, so an
+        # unhashable member fails there, before any later point is read
+        pts, on_line = [], {lab: [] for lab in labels}
         for pid, (key, members) in enumerate(points):
             members = frozenset(members)
-            for lab in members:
-                ids = on_line.get(lab)
-                if ids is None:
-                    raise ValueError(f"point {key!r} references unknown lines")
-                ids.append(pid)
+            try:
+                for lab in members:
+                    on_line[lab].append(pid)
+            except KeyError:
+                raise ValueError(f"point {key!r} references unknown lines") from None
             pts.append((key, members))
-            m = len(members)
-            twice_pairs += m * (m - 1)
-            if m < 2:
-                short = True
         if not pts:
             raise EmptyResult("incidence structure has no points")
         if complete:
-            if short:
+            sizes = [len(members) for _, members in pts]
+            if min(sizes) < 2:
                 raise ValueError("a complete incidence structure holds only "
                                  "points on two or more of its lines")
-            lhs = twice_pairs // 2
+            lhs = sum(m * (m - 1) for m in sizes) // 2
             rhs = comb(len(labels), 2)
             if lhs != rhs:
                 raise IdentityViolation(lhs, rhs)
@@ -328,13 +326,16 @@ def multiplicity(arr: CoordArrangement, point: ProjPoint) -> int:
     return multiplicities(arr, (point,))[0]
 
 
-def _derive_profile(inc: IncidenceStructure):
-    mult = inc.multiplicities()
-    profiles = [Counter(mult[pid] for pid in ids) for ids in inc.on_line.values()]
-    first = profiles[0]
-    if all(p == first for p in profiles):
-        return {k: first[k] for k in sorted(first)}
-    return None
+def _derive_profile(mult, on_line):
+    """The multiset of point multiplicities on each line, as a sorted dict,
+    when every line carries the same one; None at the first line whose
+    multiset differs from line 0's."""
+    lines = iter(on_line.values())
+    first = Counter(mult[pid] for pid in next(lines))
+    for ids in lines:
+        if Counter(mult[pid] for pid in ids) != first:
+            return None
+    return {k: first[k] for k in sorted(first)}
 
 
 def spectrum_of(inc: IncidenceStructure) -> Spectrum:
@@ -348,11 +349,12 @@ def spectrum_of(inc: IncidenceStructure) -> Spectrum:
     if not inc.complete:
         raise ValueError("spectrum_of needs a full singular locus; "
                          "h_quadratic reads a kept point set")
+    mult = inc.multiplicities()
     return Spectrum(
         inc.d,
-        dict(Counter(inc.multiplicities())),
+        dict(Counter(mult)),
         real=inc.real,
-        profile=_derive_profile(inc),
+        profile=_derive_profile(mult, inc.on_line),
         field_order=inc.field_order,
     )
 

@@ -332,11 +332,15 @@ class RationalField(Field):
         return tuple(Fraction(r, pivot) for r in reps)
 
     def _triple_key(self, reps):
-        # numerator, denominator of each entry over the positive pivot
+        # numerator, denominator of each entry over the positive pivot; x's
+        # reads (1, 1) when x is the pivot, else (0, 1)
         x, y, z = reps
-        p = x or y or z
-        gx, gy, gz = gcd(p, x), gcd(p, y), gcd(p, z)
-        return (x // gx, p // gx, y // gy, p // gy, z // gz, p // gz)
+        if x:
+            gy, gz = gcd(x, y), gcd(x, z)
+            return (1, 1, y // gy, x // gy, z // gz, x // gz)
+        p = y or z
+        gy, gz = gcd(p, y), gcd(p, z)
+        return (0, 1, y // gy, p // gy, z // gz, p // gz)
 
     def parse_rep(self, token):
         if _PLAIN_INTEGER(token):

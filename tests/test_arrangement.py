@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,12 @@ def test_incidence_structure_errors_keep_their_precedence():
     for points in ([("p", {0}), ("q", {0, 5})], [("q", {5, 0}), ("p", {0})]):
         with pytest.raises(ValueError, match=unknown):
             IncidenceStructure(labels, points, complete=True)
+    # points are read and checked in turn: an unhashable member fails at its
+    # own point, after an unknown label on an earlier point is reported
+    with pytest.raises(ValueError, match=unknown):
+        IncidenceStructure(labels, [("q", {0, 5}), ("p", [0, [1]])], complete=True)
+    with pytest.raises(TypeError, match="unhashable"):
+        IncidenceStructure(labels, [("p", [0, [1]]), ("q", {0, 5})], complete=True)
     inc = IncidenceStructure(labels, iter([("p", [0, 1]), ("q", (1, 2)), ("r", {2})]),
                              complete=False)
     assert inc.points == (("p", frozenset({0, 1})), ("q", frozenset({1, 2})),
@@ -342,6 +349,29 @@ def test_profile_derivation_uniform_only():
     assert sp.profile is None
     sp3 = spectrum_of(singular_points(gen_fermat(3)))
     assert sp3.profile == {3: 4}
+
+
+def test_profile_stops_at_the_first_differing_line(monkeypatch):
+    """spectrum_of builds one Counter for t and then per-line Counters only
+    until a line's differs from line 0's; a uniform locus checks them all."""
+    quasi = gen_quasi_pencil(12)  # the transversal is the last line
+    transversal_first = singular_points(CoordArrangement(quasi.lines[::-1], real=True))
+    quasi, pg3 = singular_points(quasi), singular_points(gen_finite_field_full(3))
+    built = []
+
+    class Counting(Counter):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(negarr.arrangement, "Counter", Counting)
+    for inc, counters in ((transversal_first, 3), (quasi, 13)):
+        built.clear()
+        assert spectrum_of(inc).profile is None
+        assert len(built) == counters
+    built.clear()
+    assert spectrum_of(pg3).profile == {4: 4}
+    assert len(built) == pg3.d + 1 == 14
 
 
 def _line_index_cases():
@@ -550,6 +580,21 @@ def _differential_inputs():
 
 
 _DIFFERENTIAL = _differential_inputs()
+# inputs whose lines all carry the same multiset of point multiplicities;
+# cyclo12's nine random lines are in general position
+_UNIFORM = {"fermat4", "fermat5", "generic", "pencil", "cyclo12"} | {
+    f"pg2-{q}" for q in (2, 3, 4, 5, 7, 8)}
+
+
+def _reference_index(d, reference):
+    """The per-line index of reference member sets, and its profile: a
+    Counter per line, None if any two differ."""
+    index = {lab: [] for lab in range(d)}
+    for pid, (_, members) in enumerate(reference):
+        for lab in members:
+            index[lab].append(pid)
+    profiles = [Counter(len(reference[pid][1]) for pid in ids) for ids in index.values()]
+    return index, None if any(p != profiles[0] for p in profiles) else dict(profiles[0])
 
 
 @pytest.mark.parametrize("name", [n for n in _DIFFERENTIAL if n.startswith("generic-")])
@@ -559,8 +604,9 @@ def test_generic_extension_inputs_meet_on_the_generic_hooks(name):
     assert max(len(members) for _, members in _reference_points(arr)) > 2
 
 
-@pytest.mark.parametrize("arr", _DIFFERENTIAL.values(), ids=_DIFFERENTIAL)
-def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
+@pytest.mark.parametrize("name", _DIFFERENTIAL)
+def test_singular_points_matches_all_pairs_reference(name, monkeypatch):
+    arr = _DIFFERENTIAL[name]
     # count meets at the field class's _cross hook, whichever way the locus
     # reaches it
     field_class = type(arr.field)
@@ -597,6 +643,11 @@ def test_singular_points_matches_all_pairs_reference(arr, monkeypatch):
     assert [repr(p) for p, _ in inc.points] == [
         "[" + ":".join(map(repr, coords)) + "]" for coords, _ in reference]
     assert len(met) == len(calls) == sum(len(members) - 1 for _, members in reference)
+    # the line index and the per-line profile agree with the reference's
+    index, profile = _reference_index(arr.d, reference)
+    assert (profile is not None) == (name in _UNIFORM)
+    assert inc.on_line == index
+    assert spectrum_of(inc).profile == profile
     # the hook returns the stored reps of the public meet's point
     for l1, l2 in itertools.islice(itertools.combinations(arr.lines, 2), 5):
         assert meet(l1, l2) == negarr.meet(l1, l2)._r

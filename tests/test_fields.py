@@ -863,6 +863,23 @@ def test_primitive_triples_and_their_sort_keys():
         _primitive(0, 0, 0)
 
 
+@pytest.mark.parametrize("triple, key", [
+    ((2, -3, 0), (1, 1, -3, 2, 0, 1)),
+    ((2, 3, -4), (1, 1, 3, 2, -2, 1)),
+    ((6, -4, 9), (1, 1, -2, 3, 3, 2)),
+    ((1, 0, 0), (1, 1, 0, 1, 0, 1)),
+    ((0, 1, -2), (0, 1, 1, 1, -2, 1)),
+    ((0, 2, -3), (0, 1, 1, 1, -3, 2)),
+    ((0, 0, 1), (0, 1, 0, 1, 1, 1)),
+])
+def test_rational_triple_keys_read_the_pivot(triple, key):
+    """Q's key is numerator and denominator of each entry over the pivot,
+    with the pivot in each position, negative entries and zeros."""
+    assert Q._canonical(tuple(map(Fraction, triple))) == triple  # primitive
+    assert Q._triple_key(triple) == key
+    assert key == tuple(v for r in Q._affine(triple) for v in Q.sort_key_rep(r))
+
+
 def _key_order_fields():
     gf4 = ExtensionField(PrimeField(2), [1, 1, 1])
     with warnings.catch_warnings():
