@@ -167,16 +167,17 @@ class Spectrum:
     """Multiplicity spectrum: t[k] points where exactly k lines meet.
 
     The counts describe the full singular locus of the d lines, so the
-    pair-count identity sum C(k,2) t_k = C(d,2) is enforced; complete is
-    always True, and the keyword accepts nothing else.  profile, when
-    present, gives for every line the number of k-fold points on it and must
-    satisfy d * profile[k] = k * t_k.  field_order is the size of the
-    coordinate field when the spectrum came from one of positive
-    characteristic, so it must be a prime power; such a field embeds in no
-    real field, so real=True with it raises ValueError.
+    pair-count identity sum C(k,2) t_k = C(d,2) is enforced, once, on the
+    sums kept here: s points, sum_m = sum m_i and sum_m_sq = sum m_i^2, with
+    sum_m_sq - sum_m = d(d-1).  complete is always True, and the keyword
+    accepts nothing else.  profile, when present, gives for every line the
+    number of k-fold points on it and must satisfy d * profile[k] = k * t_k.
+    field_order is the size of the coordinate field when the spectrum came
+    from one of positive characteristic, so it must be a prime power; such
+    a field embeds in no real field, so real=True with it raises ValueError.
     """
 
-    __slots__ = ("d", "t", "real", "profile", "field_order")
+    __slots__ = ("d", "t", "s", "sum_m", "sum_m_sq", "real", "profile", "field_order")
     complete = True
 
     def __init__(self, d, t, *, real=False, complete=True, profile=None,
@@ -186,7 +187,7 @@ class Spectrum:
         if complete is not True:
             raise ValueError("a spectrum describes a full singular locus: complete must be True")
         _check_field_order("a spectrum", real, field_order)
-        clean = {}
+        clean, s, sum_m, sum_m_sq = {}, 0, 0, 0
         for k in sorted(t):
             v = t[k]
             if not isinstance(k, int) or k < 2:
@@ -195,12 +196,13 @@ class Spectrum:
                 raise ValueError(f"count t_{k} = {v!r} must be a nonnegative integer")
             if v:
                 clean[k] = v
+                s += v
+                sum_m += k * v
+                sum_m_sq += k * k * v
         if not clean:
             raise ValueError("spectrum has no points")
-        lhs = sum(comb(k, 2) * v for k, v in clean.items())
-        rhs = comb(d, 2)
-        if lhs != rhs:
-            raise IdentityViolation(lhs, rhs)
+        if sum_m_sq - sum_m != d * (d - 1):
+            raise IdentityViolation((sum_m_sq - sum_m) // 2, comb(d, 2))
         if profile is not None:
             prof = {k: profile[k] for k in sorted(profile) if profile[k]}
             if set(prof) != set(clean):
@@ -212,21 +214,10 @@ class Spectrum:
             profile = prof
         self.d = d
         self.t = clean
+        self.s, self.sum_m, self.sum_m_sq = s, sum_m, sum_m_sq
         self.real = bool(real)
         self.profile = profile
         self.field_order = field_order
-
-    @property
-    def s(self) -> int:
-        return sum(self.t.values())
-
-    @property
-    def sum_m(self) -> int:
-        return sum(k * v for k, v in self.t.items())
-
-    @property
-    def sum_m_sq(self) -> int:
-        return sum(k * k * v for k, v in self.t.items())
 
     def is_pencil(self) -> bool:
         return self.t.get(self.d, 0) == 1

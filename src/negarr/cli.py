@@ -40,7 +40,9 @@ Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
 
 Every rational in a report is printed exactly and as a 4-significant-digit
-decimal; --json mirrors the report with rationals as {"num": p, "den": q}.
+decimal, read through float, or rounded exactly where a float overflows or
+reads a nonzero value as 0; --json mirrors the report with rationals as
+{"num": p, "den": q}.
 Reports are byte-deterministic for identical inputs and flags.
 
 Exit codes: 0 all applicable certificates hold, 1 some applicable
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -94,9 +97,22 @@ DEFAULT_BUDGET = 10_000_000
 
 # ---- rational rendering ----
 
+# every exponent a Fraction can reach, for values beyond a float's range
+_WIDE = Context(prec=4, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def fmt_q(value) -> str:
+    """value exactly, then as a 4-significant-digit decimal: through float
+    where a float holds it, else (overflow, or a nonzero value that reads
+    as 0.0) rounded exactly, in the same %g style."""
     fr = Fraction(value)
-    return f"{fr} ({float(fr):.4g})"
+    try:
+        approx = float(fr)
+    except OverflowError:
+        approx = None
+    if not approx and fr:
+        approx = _WIDE.divide(fr.numerator, fr.denominator).normalize(_WIDE)
+    return f"{fr} ({approx:.4g})"
 
 
 def _yn(flag: bool) -> str:

@@ -2,7 +2,9 @@
 
 Every element carries a canonical representation (lowest-terms Fraction,
 reduced residue, or fixed-length coefficient vector), so equality and hashing
-are structural and exact.  Nothing in this package ever touches a float.
+are structural and exact.  No value is ever a float: the one float in negarr
+is the 4-significant-digit decimal that the command line prints beside each
+exact value, and beyond a float's range that decimal is rounded exactly.
 """
 
 from __future__ import annotations

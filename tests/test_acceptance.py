@@ -177,7 +177,7 @@ def test_criterion_4_random_property_sweep():
         arr = _random_arrangement(rng)
         inc = singular_points(arr)
         sp = spectrum_of(inc)  # identity validation runs inside
-        full = h_full(sp)      # linear and quadratic routes compared inside
+        full = h_full(sp)      # the linear form, compared with the quadratic next
         assert h_quadratic(inc).h == full.h
         if not sp.is_pencil():
             assert sp.s >= sp.d  # de Bruijn-Erdos

@@ -211,8 +211,11 @@ def test_restrict_to_singular():
 def test_abstract_spectrum_identity_check():
     sp = abstract_spectrum(9, {3: 12})
     assert sp.s == 12
-    with pytest.raises(IdentityViolation):
-        abstract_spectrum(9, {3: 11})
+    # checked on the kept sums as sum m^2 - sum m = d(d-1), reported in pairs
+    for d, t, lhs, rhs in ((9, {3: 11}, 33, 36), (4, {2: 1, 4: 1}, 7, 6), (5, {2: 11}, 11, 10)):
+        identity = rf"^pair-count identity violated: sum C\(m_i,2\) = {lhs} but C\(d,2\) = {rhs}$"
+        with pytest.raises(IdentityViolation, match=identity):
+            abstract_spectrum(d, t)
     # every spectrum is a full singular locus: none skips the identity
     assert sp.complete
     with pytest.raises(ValueError, match="^a spectrum describes a full singular locus"):

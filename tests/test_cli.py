@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import negarr
 from negarr.arrangement import CoordArrangement
-from negarr.cli import main, parse_field, parse_input, render_coords, render_spectrum
+from negarr.cli import fmt_q, main, parse_field, parse_input, render_coords, render_spectrum
 from negarr.errors import InternalInconsistency, NegarrError
 from negarr.fields import ExtensionField, PrimeField, RationalField
 from negarr.projective import ProjLine, ProjPoint
@@ -152,6 +154,38 @@ def test_analyze_byte_deterministic(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_fmt_q_reads_through_float_where_a_float_holds_the_value():
+    assert fmt_q(0) == "0 (0)"
+    assert fmt_q(Fraction(-7, 3)) == "-7/3 (-2.333)"
+    assert fmt_q(10**5) == "100000 (1e+05)"
+    # the float's rounding: exact rounding of 123.45 would give 123.4
+    assert fmt_q(Fraction(2469, 20)) == "2469/20 (123.5)"
+    # a subnormal float still holds the value
+    assert fmt_q(Fraction(5, 10**324)).endswith(" (4.941e-324)")
+
+
+def test_fmt_q_rounds_exactly_beyond_float_range():
+    assert fmt_q(10**400) == f"{10**400} (1e+400)"
+    assert fmt_q(Fraction(-7 * 10**350, 3)).endswith("/3 (-2.333e+350)")
+    assert fmt_q(12345 * 10**400).endswith(" (1.234e+404)")  # half to even
+    assert fmt_q(Fraction(1, 10**330)) == f"1/{10**330} (1e-330)"
+    assert fmt_q(Fraction(-1, 3 * 10**400)).endswith(" (-3.333e-401)")
+
+
+def test_analyze_spectrum_beyond_float_range(tmp_path, capsys):
+    # a valid spectrum whose certificate slacks overflow a float
+    d = 10**160
+    f = tmp_path / "big.txt"
+    f.write_text(f"spectrum d={d}\nt 2 {comb(d, 2)}\nflags complete\n")
+    code, out, err = _run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    assert " (5e+319)\n" in out
+    assert out.endswith("status: ok\n")
+    code, out, err = _run(capsys, "analyze", str(f), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == 0
 
 
 def test_analyze_points_mode(tmp_path, capsys):

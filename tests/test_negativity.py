@@ -1,5 +1,6 @@
 import contextlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +19,7 @@ from negarr.arrangement import (
     spectrum_of,
 )
 from negarr.catalog import (
+    CATALOG,
     catalog_entry,
     gen_fermat,
     gen_generic,
@@ -34,6 +36,7 @@ from negarr.negativity import (
     h_curve,
     h_fattened,
     h_full,
+    h_of_multiplicities,
     h_quadratic,
     hirzebruch_check,
     main_bound_case,
@@ -214,6 +217,48 @@ def _random_complete_spectrum(rng):
     if pairs:
         t[2] = t.get(2, 0) + pairs
     return d, t
+
+
+# Small parameters for every catalog entry, and for every coordinate model
+# of a spectrum entry, which is read through its singular locus.
+_CATALOG_PARAMS = {
+    "generic": [(3,), (6,)], "pencil": [(2,), (5,)], "quasipencil": [(3,), (6,)],
+    "fermat": [(3,), (4,)], "dualhesse": [()], "pg2": [(2,), (3,), (4,)],
+    "kgon": [(4,), (7,)], "boroczky": [(6,), (12,)], "cubicgroup": [(9, 3), (4, 1)],
+    "klein": [()], "wiman": [()],
+}
+_COORDINATE_MODEL_PARAMS = {"kgon": [(4,)]}
+
+
+def _catalog_spectra():
+    assert set(_CATALOG_PARAMS) == set(CATALOG)
+    modelled = {name for name, entry in CATALOG.items() if entry.coords is not None}
+    assert modelled == set(_COORDINATE_MODEL_PARAMS)
+    for name, cases in _CATALOG_PARAMS.items():
+        for params in cases:
+            built = CATALOG[name].build(*params)
+            yield built if isinstance(built, Spectrum) else spectrum_of(singular_points(built))
+    for name, cases in _COORDINATE_MODEL_PARAMS.items():
+        for params in cases:
+            yield spectrum_of(singular_points(CATALOG[name].coords(*params)))
+
+
+def test_spectrum_sums_make_h_full_the_quadratic_form():
+    # The constructor checks the pair-count identity on the sums it keeps,
+    # and that identity is what turns (d^2 - sum m_i^2)/s into h_full's
+    # linear (d - sum m_i)/s, so h_full needs no check of its own.
+    rng = random.Random(36)
+    spectra = [abstract_spectrum(*_random_complete_spectrum(rng)) for _ in range(400)]
+    spectra += _catalog_spectra()
+    for sp in spectra:
+        t = sp.t
+        assert (sp.s, sp.sum_m, sp.sum_m_sq) == (
+            sum(t.values()), sum(k * v for k, v in t.items()),
+            sum(k * k * v for k, v in t.items())), sp
+        full = h_full(sp)
+        quad = h_of_multiplicities(sp.d, list(Counter(t).elements()))
+        assert (full.h, full.s, full.sum_m, full.sum_m_sq) == \
+            (quad.h, quad.s, quad.sum_m, quad.sum_m_sq), sp
 
 
 def test_hirzebruch_degenerate_reasons_follow_main_bound_case():
