@@ -40,8 +40,8 @@ Element literals: rationals like -3 or 5/6, prime-field residues like 4,
 extension elements as coefficient vectors like [0,1] (no spaces inside).
 
 Every rational in a report is printed exactly and as a 4-significant-digit
-decimal, read through float, or rounded exactly where a float overflows or
-reads a nonzero value as 0; --json mirrors the report with rationals as
+decimal, read through float where float holds a normal value and rounded
+exactly elsewhere; --json mirrors the report with rationals as
 {"num": p, "den": q}.
 Reports are byte-deterministic for identical inputs and flags.
 
@@ -103,14 +103,14 @@ _WIDE = Context(prec=4, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 def fmt_q(value) -> str:
     """value exactly, then as a 4-significant-digit decimal: through float
-    where a float holds it, else (overflow, or a nonzero value that reads
-    as 0.0) rounded exactly, in the same %g style."""
+    where float holds a normal value, rounded exactly elsewhere, in the same
+    %g style."""
     fr = Fraction(value)
     try:
         approx = float(fr)
     except OverflowError:
-        approx = None
-    if not approx and fr:
+        approx = 0.0
+    if abs(approx) < sys.float_info.min and fr:
         approx = _WIDE.divide(fr.numerator, fr.denominator).normalize(_WIDE)
     return f"{fr} ({approx:.4g})"
 

@@ -7,8 +7,10 @@ through the i-th point), the quadratic form is
 
 On the full singular locus the pair-count identity sum m_i(m_i-1) = d(d-1)
 collapses it to the linear form (d - sum m_i)/s = d/s - mbar.  Every Spectrum
-is such a locus (its constructor checks the identity).  Everything here is
-exact Fraction arithmetic.
+is such a locus (its constructor checks the identity) and keeps s, sum m_i
+and sum m_i^2.  As sum_k (a - k) t_k = a*s - sum m_i for any a, each linear
+certificate is a closed form in d, those sums, t_2 and t_3.  Everything here
+is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ def h_fattened(x, k: int) -> Fraction:
     return k * k * h_full(x).h
 
 
-def _melchior_excess(t) -> int:
-    return t.get(2, 0) - 3 - sum((k - 3) * v for k, v in t.items() if k > 3)
+def _melchior_excess(spec: Spectrum) -> int:
+    return 3 * spec.s - spec.sum_m - 3
 
 
 def _not_real_nonpencil(spec: Spectrum):
@@ -172,13 +174,10 @@ def hirzebruch_check(spec: Spectrum) -> CertificateReport:
     arrangement realizes it.
     """
     d, t = spec.d, spec.t
-    lhs = t.get(2, 0) + Fraction(3, 4) * t.get(3, 0)
-    rhs = d + sum((k - 4) * v for k, v in t.items() if k >= 5)
-    slack = lhs - rhs
-    note = None
+    slack = 4 * spec.s - d - spec.sum_m - t.get(2, 0) - Fraction(t.get(3, 0), 4)
     reason = _DEGENERATE.get(main_bound_case(d, spec.s, lambda k: t.get(k, 0))[0])
-    if reason is None and slack < 0:
-        note = "violates the Hirzebruch inequality: not realizable as a complex line arrangement"
+    note = (None if reason is not None or slack >= 0 else
+            "violates the Hirzebruch inequality: not realizable as a complex line arrangement")
     if reason is None and spec.field_order is not None:
         reason = "positive characteristic coordinates"
     return CertificateReport(kind=HIRZEBRUCH, applicable=reason is None,
@@ -192,7 +191,7 @@ def melchior_check(spec: Spectrum) -> CertificateReport:
     when the certificate is inapplicable; a negative excess on a non-pencil
     spectrum certifies that no real line arrangement realizes it.
     """
-    e = Fraction(_melchior_excess(spec.t))
+    e = Fraction(_melchior_excess(spec))
     reason = _not_real_nonpencil(spec)
     note = None
     if e < 0 and not spec.is_pencil():
@@ -279,14 +278,14 @@ def real_identity_and_bound(spec: Spectrum) -> CertificateReport:
     exactly d/s > 0.  It needs e >= 0, the Melchior inequality; a spectrum
     that violates it gets an inapplicable report.
     """
-    e = _melchior_excess(spec.t)
+    e = _melchior_excess(spec)
     reason = _not_real_nonpencil(spec)
     if reason is None and e < 0:
         reason = "Melchior inequality violated"
     if reason is not None:
         return CertificateReport(kind=REAL_LOWER_BOUND, applicable=False,
                                  holds=False, slack=Fraction(0), reason=reason)
-    sprime = sum((k - 2) * v for k, v in spec.t.items() if k >= 3)
+    sprime = spec.sum_m - 2 * spec.s
     h = h_full(spec).h
     bound = Fraction(-3) + Fraction(e + 3, e + 3 + sprime)
     if h != Fraction(spec.d, spec.s) + bound:

@@ -162,8 +162,8 @@ def test_fmt_q_reads_through_float_where_a_float_holds_the_value():
     assert fmt_q(10**5) == "100000 (1e+05)"
     # the float's rounding: exact rounding of 123.45 would give 123.4
     assert fmt_q(Fraction(2469, 20)) == "2469/20 (123.5)"
-    # a subnormal float still holds the value
-    assert fmt_q(Fraction(5, 10**324)).endswith(" (4.941e-324)")
+    # a subnormal float holds fewer than 4 digits, so the value is rounded exactly
+    assert fmt_q(Fraction(5, 10**324)).endswith(" (5e-324)")
 
 
 def test_fmt_q_rounds_exactly_beyond_float_range():
@@ -186,6 +186,19 @@ def test_analyze_spectrum_beyond_float_range(tmp_path, capsys):
     code, out, err = _run(capsys, "analyze", str(f), "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["status"] == 0
+
+
+def test_analyze_spectrum_with_a_subnormal_slack(tmp_path, capsys):
+    # d real lines in general position: the real bound's slack d/s = 2/(d-1)
+    # is exactly 5e-324, in float's subnormal range
+    d = 4 * 10**323 + 1
+    f = tmp_path / "tiny.txt"
+    f.write_text(f"spectrum d={d}\nt 2 {comb(d, 2)}\nflags real complete\n")
+    code, out, err = _run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    assert f"real_lower_bound: holds; slack = 1/{2 * 10**323} (5e-324); " in out
+    code, out, err = _run(capsys, "analyze", str(f), "--json")
+    assert (code, err) == (0, "")
 
 
 def test_analyze_points_mode(tmp_path, capsys):

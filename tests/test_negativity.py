@@ -493,6 +493,53 @@ def test_fattening_general_spectra():
         assert h_fattened(sp, 4) == 16 * base
 
 
+def _complete_spectra(d):
+    """Every t with sum C(k,2) t_k = C(d,2): the count of each k-fold point
+    from k = d down to 3, then double points for the pairs left."""
+    def fill(k, pairs):
+        if k == 2:
+            yield {2: pairs} if pairs else {}
+            return
+        for v in range(pairs // comb(k, 2) + 1):
+            for rest in fill(k - 1, pairs - v * comb(k, 2)):
+                yield {k: v, **rest} if v else rest
+    return fill(d, comb(d, 2))
+
+
+def test_linear_certificates_on_every_complete_spectrum_up_to_twelve_lines():
+    # the certificates read the sums a Spectrum keeps; here each slack is
+    # summed over t from the inequality in its docstring
+    count = 0
+    for d in range(2, 13):
+        for t in _complete_spectra(d):
+            count += 1
+            s, sum_m = sum(t.values()), sum(k * v for k, v in t.items())
+            hirzebruch = (t.get(2, 0) + Fraction(3, 4) * t.get(3, 0)
+                          - d - sum((k - 4) * v for k, v in t.items() if k >= 5))
+            e = t.get(2, 0) - 3 - sum((k - 3) * v for k, v in t.items() if k > 3)
+            real_bound = -3 + Fraction(e + 3, e + 3 + sum(
+                (k - 2) * v for k, v in t.items() if k >= 3))
+            general = not t.get(d) and not t.get(d - 1)
+            for order, real in ((None, False), (5, False), (None, True)):
+                spec = abstract_spectrum(d, t, real=real, field_order=order)
+                hirz = hirzebruch_check(spec)
+                assert (hirz.slack, hirz.holds) == (hirzebruch, hirzebruch >= 0), spec
+                assert hirz.applicable == (general and order is None), spec
+                mel = melchior_check(spec)
+                assert (mel.slack, mel.e_slack, mel.holds) == (e, e, e >= 0), spec
+                rep = real_identity_and_bound(spec)
+                assert rep.applicable == (real and not t.get(d) and e >= 0), spec
+                if rep.applicable:
+                    h = Fraction(d - sum_m, s)
+                    assert (rep.slack, rep.bound_value, rep.e_slack, rep.holds) == (
+                        h - real_bound, real_bound, e, True), spec
+                if general:
+                    main = main_lower_bound(spec)
+                    assert main.slack * s == hirz.slack, spec
+                    assert (main.applicable, main.holds) == (hirz.applicable, hirz.holds), spec
+    assert count == 2468
+
+
 def test_main_lower_bound_degenerate_values_are_exact():
     # a point on d or d - 1 of the lines fixes H over any field (0 for a
     # pencil, -2 + 3/d for a quasi-pencil), so any other H is no arrangement's
