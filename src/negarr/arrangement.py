@@ -102,17 +102,17 @@ class IncidenceStructure:
     """Points with member-line sets for an arrangement of labeled lines.
 
     points holds (key, members) pairs; on_line maps each line label to the
-    ids (indices into points) of the points on that line.  complete means the
-    points are exactly the full singular locus of the lines, so each lies on
-    two or more of them and the pair-count identity sum C(m_i,2) = C(d,2)
-    holds; both are enforced.  Points of multiplicity below 2 are allowed
-    (and only appear) when a removal kept the original point set.
-    field_order follows the rules of Spectrum's.
+    ids (indices into points) of the points on that line.  The structure
+    only records incidences: a point may lie on fewer than two lines (a
+    removal that kept the original point set), and whether the points are a
+    full singular locus is read where a locus is read as one, by
+    spectrum_of and the Spectrum it builds.  field_order follows the rules
+    of Spectrum's.
     """
 
-    __slots__ = ("line_labels", "points", "on_line", "complete", "real", "field_order")
+    __slots__ = ("line_labels", "points", "on_line", "real", "field_order")
 
-    def __init__(self, line_labels, points, *, complete, real=False, field_order=None):
+    def __init__(self, line_labels, points, *, real=False, field_order=None):
         _check_field_order("an incidence structure", real, field_order)
         labels = tuple(line_labels)
         if len(set(labels)) != len(labels):
@@ -132,19 +132,9 @@ class IncidenceStructure:
             pts.append((key, members))
         if not pts:
             raise EmptyResult("incidence structure has no points")
-        if complete:
-            sizes = [len(members) for _, members in pts]
-            if min(sizes) < 2:
-                raise ValueError("a complete incidence structure holds only "
-                                 "points on two or more of its lines")
-            lhs = sum(m * (m - 1) for m in sizes) // 2
-            rhs = comb(len(labels), 2)
-            if lhs != rhs:
-                raise IdentityViolation(lhs, rhs)
         self.line_labels = labels
         self.points = tuple(pts)
         self.on_line = on_line
-        self.complete = bool(complete)
         self.real = bool(real)
         self.field_order = field_order
 
@@ -160,7 +150,7 @@ class IncidenceStructure:
         return [len(members) for _, members in self.points]
 
     def __repr__(self):
-        return f"IncidenceStructure(d={self.d}, s={self.s}, complete={self.complete})"
+        return f"IncidenceStructure(d={self.d}, s={self.s})"
 
 
 class Spectrum:
@@ -295,7 +285,6 @@ def singular_points(arr: CoordArrangement) -> IncidenceStructure:
     return IncidenceStructure(
         range(arr.d),
         ((ProjPoint._of_canonical(field, r), acc[r]) for r in sorted(acc, key=field._triple_key)),
-        complete=True,
         real=arr.real,
         field_order=field.order,
     )
@@ -330,17 +319,17 @@ def _derive_profile(mult, on_line):
 
 
 def spectrum_of(inc: IncidenceStructure) -> Spectrum:
-    """Collapse a complete incidence structure to its multiplicity spectrum.
+    """Collapse a full singular locus to its multiplicity spectrum.
 
     Flags are copied; a per-line profile is attached when every line carries
-    the same multiset of point multiplicities.  A structure that is not the
-    full singular locus (a keep_original_points removal) raises ValueError:
-    h_quadratic reads it.
+    the same multiset of point multiplicities.  A point on fewer than two
+    lines (a keep_original_points removal) raises ValueError: h_quadratic
+    reads such a point set.  Spectrum then checks the pair-count identity.
     """
-    if not inc.complete:
+    mult = inc.multiplicities()
+    if min(mult) < 2:
         raise ValueError("spectrum_of needs a full singular locus; "
                          "h_quadratic reads a kept point set")
-    mult = inc.multiplicities()
     return Spectrum(
         inc.d,
         dict(Counter(mult)),
@@ -363,10 +352,10 @@ def remove_lines(inc: IncidenceStructure, removed,
                  policy: str = RESTRICT_TO_NEW_SINGULAR) -> IncidenceStructure:
     """Drop the given line labels and update every point's member set.
 
-    keep_original_points keeps all points (multiplicity may fall below 2, the
-    result is marked incomplete); restrict_to_new_singular keeps only points
-    still on at least two surviving lines, which is exactly the full singular
-    locus of the subarrangement.
+    keep_original_points keeps all points, and multiplicity may fall below
+    2; restrict_to_new_singular keeps only points still on at least two
+    surviving lines, which is exactly the full singular locus of the
+    subarrangement.  So the two agree when no kept point falls below 2.
     """
     removed = frozenset(removed)
     label_set = set(inc.line_labels)
@@ -378,10 +367,8 @@ def remove_lines(inc: IncidenceStructure, removed,
     stripped = [(key, members - removed) for key, members in inc.points]
     if policy == RESTRICT_TO_NEW_SINGULAR:
         new_points = [(key, members) for key, members in stripped if len(members) >= 2]
-        complete = True
     elif policy == KEEP_ORIGINAL_POINTS:
         new_points = stripped
-        complete = False
     else:
         raise ValueError(f"unknown policy {policy!r}")
     if not new_points:
@@ -389,7 +376,6 @@ def remove_lines(inc: IncidenceStructure, removed,
     return IncidenceStructure(
         new_labels,
         new_points,
-        complete=complete,
         real=inc.real,
         field_order=inc.field_order,
     )

@@ -1,11 +1,12 @@
 """Exception types shared across the package.
 
-Every user-triggerable error is a NegarrError, and its message says which
-rule the input broke; the command line maps any of them to the input-error
-exit code.  A subclass exists only where some code handles that case on its
-own: DivisionByZero (also a ZeroDivisionError), EmptyResult and
-IdentityViolation.  InternalInconsistency is the one exception that is not
-user-triggerable.
+A user-triggerable error is a NegarrError or, for a malformed argument to a
+constructor or parser, a ValueError; its message says which rule the input
+broke, and the command line maps either to the input-error exit code.
+DivisionByZero (also a ZeroDivisionError) and EmptyResult exist because
+some code handles them on its own; IdentityViolation, raised only by
+Spectrum, is caught by no code on its own.  InternalInconsistency is the
+one exception that is not user-triggerable.
 """
 
 from __future__ import annotations

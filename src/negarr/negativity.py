@@ -365,13 +365,12 @@ def pair_removal_from_profile(spec: Spectrum, meeting_multiplicity: int) -> Pair
     if spec.d < 4:
         raise NegarrError("need at least four lines to remove two: "
                           "one line left has no singular point")
+    # d * profile[k] = k * t_k and C(k,2) t_k <= C(d,2) give
+    # profile[k] (k - 1) <= d - 1, so with d >= 4 no count below goes negative
     new_counts: Counter = Counter()
     for k, tk in spec.t.items():
         meeting = int(k == m)
-        on_removed = 2 * (spec.profile.get(k, 0) - meeting)
-        if on_removed < 0 or on_removed + meeting > tk:
-            raise NegarrError(
-                f"profile places more multiplicity-{k} points on the pair than exist")
+        on_removed = 2 * (spec.profile[k] - meeting)
         new_counts[k] += tk - on_removed - meeting
         new_counts[k - 1] += on_removed
     new_counts[m - 2] += 1

@@ -26,6 +26,7 @@ from negarr.arrangement import (
     spectrum_of,
 )
 from negarr.catalog import (
+    CATALOG,
     gen_fermat,
     gen_finite_field_full,
     gen_generic,
@@ -181,16 +182,15 @@ def test_spectrum_field_order_is_a_prime_power():
 
 def test_incidence_structure_field_order_is_a_prime_power():
     with pytest.raises(ValueError, match="^field order 10 is not a prime power$"):
-        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=10)
-    inc = IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, field_order=9)
+        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], field_order=10)
+    inc = IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], field_order=9)
     assert spectrum_of(inc).field_order == 9
 
 
 def test_incidence_structure_over_a_finite_field_cannot_be_real():
     with pytest.raises(ValueError, match="^an incidence structure over the finite field "
                                          "of order 7 cannot be real$"):
-        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], complete=True, real=True,
-                           field_order=7)
+        IncidenceStructure((0, 1, 2), [("p", {0, 1, 2})], real=True, field_order=7)
 
 
 def test_abstract_spectrum_is_the_constructor():
@@ -247,47 +247,58 @@ def test_incidence_structure_validation():
                             ((), "^at least one line required$"),
                             ((0, 1), "^point 'p' references unknown lines$")):
         with pytest.raises(ValueError, match=message):
-            IncidenceStructure(labels, [("p", frozenset({0, 2}))], complete=False)
-    with pytest.raises(IdentityViolation):
-        IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=True)
-    ok = IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))], complete=False)
+            IncidenceStructure(labels, [("p", frozenset({0, 2}))])
+    # a structure only records incidences: neither a point on one line nor a
+    # broken pair count is its to reject
+    ok = IncidenceStructure((0, 1, 2), [("p", frozenset({0, 1}))])
     assert ok.multiplicities() == [2] and (ok.d, ok.s) == (3, 1)
-    assert repr(ok) == "IncidenceStructure(d=3, s=1, complete=False)"
-    # a complete structure is a singular locus: no point on fewer than two lines
-    with pytest.raises(ValueError, match="^a complete incidence structure holds only points"):
-        IncidenceStructure((0, 1), [("p", frozenset({0, 1})), ("q", frozenset({0}))],
-                           complete=True)
+    assert repr(ok) == "IncidenceStructure(d=3, s=1)"
+    assert not hasattr(ok, "complete")
+    short = IncidenceStructure((0, 1), [("p", frozenset({0, 1})), ("q", frozenset({0}))])
+    assert short.multiplicities() == [2, 1]
+
+
+def test_spectrum_of_rejects_a_structure_that_is_not_a_full_locus():
+    short = "^spectrum_of needs a full singular locus; h_quadratic reads a kept point set$"
+    identity = r"^pair-count identity violated: sum C\(m_i,2\) = {} but C\(d,2\) = {}$"
+    for points in ([("p", {0, 1}), ("q", {0})], [("q", {0})], [("p", {0, 1}), ("q", ())]):
+        with pytest.raises(ValueError, match=short):
+            spectrum_of(IncidenceStructure((0, 1), points))
+    # too few pairs (a pair of lines that never meets) and too many (a pair
+    # met at two points)
+    for points, lhs in (([("p", {0, 1})], 1), ([("p", {0, 1, 2}), ("q", {0, 1})], 4)):
+        with pytest.raises(IdentityViolation, match=identity.format(lhs, 3)):
+            spectrum_of(IncidenceStructure((0, 1, 2), points))
 
 
 def test_incidence_structure_errors_keep_their_precedence():
-    """Unknown labels are reported before a point on fewer than two lines,
-    which is reported before the pair-count identity; no points at all is
-    EmptyResult, complete or not.  Points may come from a one-shot iterator."""
+    """The constructor reports an unknown label, then a structure with no
+    points (EmptyResult); spectrum_of then reports a point on fewer than two
+    lines, then the pair-count identity.  Points may come from a one-shot
+    iterator."""
     labels = (0, 1, 2)
     unknown = "^point 'q' references unknown lines$"
-    short = "^a complete incidence structure holds only points on two or more of its lines$"
     with pytest.raises(ValueError, match=unknown):
-        IncidenceStructure(labels, [("p", {0, 1, 2}), ("q", {1, 3})], complete=True)
-    with pytest.raises(ValueError, match=short):
-        IncidenceStructure(labels, [("p", {0, 1, 2}), ("q", {1})], complete=True)
-    identity = r"^pair-count identity violated: sum C\(m_i,2\) = 1 but C\(d,2\) = 3$"
-    with pytest.raises(IdentityViolation, match=identity):
-        IncidenceStructure(labels, iter([("p", {0, 1})]), complete=True)
-    for complete in (True, False):
-        with pytest.raises(EmptyResult, match="^incidence structure has no points$"):
-            IncidenceStructure(labels, iter(()), complete=complete)
+        IncidenceStructure(labels, iter([("q", {1, 3})]))
     # a point of multiplicity 1 before a point on an unknown line, and after it
     for points in ([("p", {0}), ("q", {0, 5})], [("q", {5, 0}), ("p", {0})]):
         with pytest.raises(ValueError, match=unknown):
-            IncidenceStructure(labels, points, complete=True)
+            IncidenceStructure(labels, points)
+    with pytest.raises(EmptyResult, match="^incidence structure has no points$"):
+        IncidenceStructure(labels, iter(()))
+    short = "^spectrum_of needs a full singular locus; h_quadratic reads a kept point set$"
+    with pytest.raises(ValueError, match=short):  # the identity breaks as well
+        spectrum_of(IncidenceStructure(labels, iter([("p", {0, 1}), ("q", {1})])))
+    identity = r"^pair-count identity violated: sum C\(m_i,2\) = 1 but C\(d,2\) = 3$"
+    with pytest.raises(IdentityViolation, match=identity):
+        spectrum_of(IncidenceStructure(labels, iter([("p", {0, 1})])))
     # points are read and checked in turn: an unhashable member fails at its
     # own point, after an unknown label on an earlier point is reported
     with pytest.raises(ValueError, match=unknown):
-        IncidenceStructure(labels, [("q", {0, 5}), ("p", [0, [1]])], complete=True)
+        IncidenceStructure(labels, [("q", {0, 5}), ("p", [0, [1]])])
     with pytest.raises(TypeError, match="unhashable"):
-        IncidenceStructure(labels, [("p", [0, [1]]), ("q", {0, 5})], complete=True)
-    inc = IncidenceStructure(labels, iter([("p", [0, 1]), ("q", (1, 2)), ("r", {2})]),
-                             complete=False)
+        IncidenceStructure(labels, [("p", [0, [1]]), ("q", {0, 5})])
+    inc = IncidenceStructure(labels, iter([("p", [0, 1]), ("q", (1, 2)), ("r", {2})]))
     assert inc.points == (("p", frozenset({0, 1})), ("q", frozenset({1, 2})),
                           ("r", frozenset({2})))
     assert inc.on_line == {0: [0], 1: [0, 1], 2: [1, 2]}
@@ -315,14 +326,48 @@ def test_remove_lines_matches_recomputation():
 def test_remove_lines_keep_policy():
     inc = singular_points(gen_fermat(3))
     kept = remove_lines(inc, [0], KEEP_ORIGINAL_POINTS)
-    # the original twelve points stay, some now with multiplicity below two
+    # the original twelve points stay, the four on line 0 now double points
     assert len(kept.points) == 12
-    assert not kept.complete
     mults = sorted(kept.multiplicities())
     assert mults == [2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
-    # a kept point set is not a singular locus, so it has no spectrum
+    # so they are still the full singular locus of the eight lines left
+    restricted = remove_lines(inc, [0], RESTRICT_TO_NEW_SINGULAR)
+    assert spectrum_of(kept) == spectrum_of(restricted)
+    # lines 0 and 1 meet at a triple point, which keeps one line: a kept
+    # point set that is not a singular locus has no spectrum
+    kept = remove_lines(inc, [0, 1], KEEP_ORIGINAL_POINTS)
+    assert len(kept.points) == 12 and min(kept.multiplicities()) == 1
     with pytest.raises(ValueError, match="^spectrum_of needs a full singular locus"):
         spectrum_of(kept)
+
+
+# a small coordinate model of each catalog entry that has one
+_COORD_MODELS = {"generic": (7,), "pencil": (6,), "quasipencil": (7,), "fermat": (4,),
+                 "dualhesse": (), "pg2": (3,), "kgon": (4,)}
+
+
+def test_a_keep_removal_with_no_short_point_is_the_new_locus():
+    # every kept point still on two or more lines makes the kept point set
+    # the subarrangement's full singular locus, so spectrum_of reads it
+    assert set(_COORD_MODELS) == {name for name, entry in CATALOG.items()
+                                  if entry.kind == "coordinates" or entry.coords}
+    full = short = 0
+    for name, params in _COORD_MODELS.items():
+        entry = CATALOG[name]
+        inc = singular_points((entry.coords or entry.build)(*params))
+        rng = random.Random(name)
+        for _ in range(20):
+            removed = rng.sample(inc.line_labels, rng.randint(1, 3))
+            kept = remove_lines(inc, removed, KEEP_ORIGINAL_POINTS)
+            restricted = spectrum_of(remove_lines(inc, removed, RESTRICT_TO_NEW_SINGULAR))
+            if min(kept.multiplicities()) >= 2:
+                full += 1
+                assert spectrum_of(kept) == restricted, (name, removed)
+            else:
+                short += 1
+                with pytest.raises(ValueError, match="^spectrum_of needs a full singular locus"):
+                    spectrum_of(kept)
+    assert full >= 20 and short >= 20
 
 
 def test_remove_lines_errors():
@@ -408,7 +453,7 @@ def test_line_index_matches_member_sets(inc, per_line, profile):
     assert inc.on_line == expected
     assert list(inc.on_line) == list(inc.line_labels)
     assert equidistribution(inc) == per_line
-    if inc.complete:
+    if min(inc.multiplicities()) >= 2:
         assert spectrum_of(inc).profile == profile
     else:
         with pytest.raises(ValueError, match="^spectrum_of needs a full singular locus"):

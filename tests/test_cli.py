@@ -335,7 +335,7 @@ def broken(arr):
     inc = real(arr)
     (key, members), *rest = inc.points
     points = [(key, members - {max(members)}), *rest]
-    return IncidenceStructure(inc.line_labels, points, complete=False,
+    return IncidenceStructure(inc.line_labels, points,
                               real=inc.real, field_order=inc.field_order)
 
 search.singular_points = broken
@@ -367,7 +367,7 @@ def broken(arr):
     (key, members), *rest = inc.points
     extra = min(set(inc.line_labels) - members)
     points = [(key, members | {extra}), *rest]
-    return IncidenceStructure(inc.line_labels, points, complete=False,
+    return IncidenceStructure(inc.line_labels, points,
                               real=inc.real, field_order=inc.field_order)
 
 search.singular_points = broken

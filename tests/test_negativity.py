@@ -429,6 +429,29 @@ def test_pair_removal_needs_four_lines():
     assert pair_removal_from_profile(pencil, 4).new_spectrum.t == {2: 1}
 
 
+def test_pair_removal_counts_stay_nonnegative_up_to_twelve_lines():
+    # d * profile[k] = k * t_k and the pair-count identity give
+    # profile[k] (k - 1) <= d - 1: on every profiled spectrum with
+    # 4 <= d <= 12, the pair through a point of each multiplicity m takes
+    # from each k no more points than t_k holds
+    calls = 0
+    for d in range(4, 13):
+        for t in _complete_spectra(d):
+            if any(k * v % d for k, v in t.items()):
+                continue
+            spec = abstract_spectrum(d, t, profile={k: k * v // d for k, v in t.items()})
+            for m in t:
+                for k, tk in t.items():
+                    meeting = int(k == m)
+                    assert 0 <= 2 * (spec.profile[k] - meeting) <= tk - meeting, (spec, m)
+                rep = pair_removal_from_profile(spec, m)
+                # the s original points stay, none at a negative count
+                assert (rep.over_original.d, rep.over_original.s) == (d - 2, spec.s)
+                assert rep.new_spectrum.d == d - 2
+                calls += 1
+    assert calls == 102
+
+
 def test_pair_removal_matches_direct_removal():
     # profile arithmetic must reproduce honest coordinate removal
     for n in (3, 4, 5):
